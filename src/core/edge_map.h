@@ -166,8 +166,6 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
   // work starts.
   const bool weighted_records =
       g.index().record_bytes() == sizeof(format::WeightedEdgeRecord);
-  const bool dvarint =
-      g.index().encoding() == format::AdjacencyEncoding::kDeltaVarint;
   if (weighted_records) {
     BLAZE_CHECK(detail::WeightedScatter<Program>,
                 "weighted graph requires scatter(src, dst, weight)");
@@ -251,7 +249,7 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
       const std::byte* page = data + static_cast<std::size_t>(j) * kPageSize;
       if constexpr (detail::WeightedScatter<Program>) {
         if (weighted_records) {
-          *local_edges += format::scan_page_weighted(
+          *local_edges += format::scan_page(
               g.index(), g.page_map(), logical_page, page, active,
               [&](vertex_t src, vertex_t dst, float w) {
                 if (!prog.cond(dst)) return;
@@ -262,27 +260,12 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
         }
       }
       if constexpr (detail::UnweightedScatter<Program>) {
-        if (dvarint) {
-          // Decode fused into the scan: gaps stream straight into the
-          // program with no intermediate decompressed neighbor buffer.
-          *local_edges += format::scan_page_dvarint(
-              g.index(), g.page_map(), logical_page, page, active,
-              [&](vertex_t src, vertex_t dst) {
-                if (prog.cond(dst)) {
-                  apply_update(sbuf, local_records, dst,
-                               prog.scatter(src, dst));
-                }
-                return true;  // push mode never early-exits a list
-              });
-        } else {
-          *local_edges += format::scan_page(
-              g.index(), g.page_map(), logical_page, page, active,
-              [&](vertex_t src, vertex_t dst) {
-                if (!prog.cond(dst)) return;
-                apply_update(sbuf, local_records, dst,
-                             prog.scatter(src, dst));
-              });
-        }
+        *local_edges += format::scan_page(
+            g.index(), g.page_map(), logical_page, page, active,
+            [&](vertex_t src, vertex_t dst) {
+              if (!prog.cond(dst)) return;
+              apply_update(sbuf, local_records, dst, prog.scatter(src, dst));
+            });
       }
     }
     io_pool.release(buf_id);

@@ -70,8 +70,6 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
 
   const format::GraphIndex& index = in_g.index();
   const format::PageVertexMap& pvmap = in_g.page_map();
-  const bool dvarint =
-      index.encoding() == format::AdjacencyEncoding::kDeltaVarint;
   qc.pool().run_on_all([&](std::size_t worker) {
     trace::ScopedQuery worker_scope(qc.trace_id());
     // Pull workers scan and gather in place (no bins): one scatter-side
@@ -101,58 +99,26 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
       for (std::uint32_t j = 0; j < meta.num_pages; ++j) {
         const std::uint64_t logical_page =
             (meta.first_page + j) * num_devices + meta.device;
-        const std::uint64_t page_base = logical_page * kPageSize;
         // The final page of a tail-clamped request is partial; never scan
         // past the bytes the device actually filled.
         const std::uint64_t page_valid = std::min<std::uint64_t>(
             kPageSize, meta.valid_bytes - std::uint64_t{j} * kPageSize);
         const std::byte* page =
             data + static_cast<std::size_t>(j) * kPageSize;
-        if (dvarint) {
-          // Fused decode: in-neighbors stream out of the varint bytes
-          // straight into the gather, and returning false from the edge
-          // callback keeps the early exit (stop scanning d's list the
-          // moment cond(d) turns false).
-          local_edges += format::scan_page_dvarint(
-              index, pvmap, logical_page, page,
-              [&](vertex_t d) {
-                return candidates.contains(d) && prog.cond(d);
-              },
-              [&](vertex_t d, vertex_t s) {
-                if (frontier.contains(s)) {
-                  const value_type val = prog.scatter(s, d);
-                  if (prog.gather_atomic(d, val) && opts.output) out.add(d);
-                }
-                return prog.cond(d);  // false: destination satisfied
-              },
-              page_valid);
-          continue;
-        }
-        const auto range = pvmap.range(logical_page);
-        std::uint64_t off = index.byte_offset(range.begin);
-        for (vertex_t d = range.begin; d < range.end; ++d) {
-          const std::uint64_t len =
-              static_cast<std::uint64_t>(index.degree(d)) *
-              sizeof(vertex_t);
-          const std::uint64_t vb = off;
-          off += len;
-          if (len == 0 || !candidates.contains(d)) continue;
-          if (!prog.cond(d)) continue;  // claimed meanwhile: early skip
-          const std::uint64_t ob = std::max(vb, page_base);
-          const std::uint64_t oe = std::min(vb + len, page_base + page_valid);
-          if (ob >= oe) continue;
-          const auto* srcs = reinterpret_cast<const vertex_t*>(
-              page + (ob - page_base));
-          const std::size_t cnt = (oe - ob) / sizeof(vertex_t);
-          for (std::size_t k = 0; k < cnt; ++k) {
-            ++local_edges;
-            const vertex_t s = srcs[k];
-            if (!frontier.contains(s)) continue;
-            const value_type val = prog.scatter(s, d);
-            if (prog.gather_atomic(d, val) && opts.output) out.add(d);
-            if (!prog.cond(d)) break;  // destination satisfied: early exit
-          }
-        }
+        // Returning false from the edge callback is the early exit: stop
+        // scanning d's in-neighbors the moment cond(d) turns false.
+        local_edges += format::scan_page(
+            index, pvmap, logical_page, page,
+            [&](vertex_t d) {
+              return candidates.contains(d) && prog.cond(d);
+            },
+            [&](vertex_t d, vertex_t s) -> bool {
+              if (!frontier.contains(s)) return true;
+              const value_type val = prog.scatter(s, d);
+              if (prog.gather_atomic(d, val) && opts.output) out.add(d);
+              return prog.cond(d);  // false: destination satisfied
+            },
+            page_valid);
       }
       io_pool.release(*buf);
     }

@@ -86,6 +86,7 @@ std::vector<vertex_t> decode_dvarint_list(const std::byte* data,
   const std::byte* pe = data + enc_length;
   std::uint32_t acc = 0, shift = 0, prev = 0;
   while (p < pe && out.size() < degree) {
+    if (shift > 28) break;  // > 5 bytes: corrupt, rejected below
     const auto b = static_cast<std::uint32_t>(*p++);
     acc |= (b & 0x7fu) << shift;
     shift += 7;

@@ -94,7 +94,11 @@ void append_json_labels(std::string& out, const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + escape(k) + "\":\"" + escape(v) + "\"";
+    out += '"';
+    out += escape(k);
+    out += "\":\"";
+    out += escape(v);
+    out += '"';
   }
   out += "}";
 }
@@ -147,7 +151,11 @@ std::string snapshot_json(const std::vector<SampleRow>& rows) {
                               : (std::uint64_t{1} << (k + 1)) - 1);
         if (!first_b) out += ",";
         first_b = false;
-        out += "[" + std::to_string(le) + "," + std::to_string(cum) + "]";
+        out += '[';
+        out += std::to_string(le);
+        out += ',';
+        out += std::to_string(cum);
+        out += ']';
       }
       out += "]";
     } else {

@@ -116,8 +116,8 @@ struct QuerySpec {
                           ///< FIFO within a level
   double deadline_s = 0;  ///< from submission; 0 = none. A query still
                           ///< queued past its deadline never runs.
-  std::string tenant;     ///< fair-queueing principal; "" = default tenant
-  std::string graph;      ///< catalog graph to resolve and pin; "" = none
+  std::string tenant{};   ///< fair-queueing principal; "" = default tenant
+  std::string graph{};    ///< catalog graph to resolve and pin; "" = none
                           ///< (requires attach_catalog when set)
 };
 

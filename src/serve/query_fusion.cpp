@@ -41,8 +41,6 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
                                    core::QueryStats* stats) {
   BLAZE_CHECK(g.index().record_bytes() == sizeof(std::uint32_t),
               "fused execution supports unweighted 4-byte records only");
-  const bool dvarint =
-      g.index().encoding() == format::AdjacencyEncoding::kDeltaVarint;
   const vertex_t n = g.num_vertices();
   Timer timer;
   trace::ScopedQuery trace_scope(qc.trace_id());
@@ -136,44 +134,25 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
       for (MemberState* m : round) {
         if (m->spec.kind == FusedQuerySpec::Kind::kBfs) {
           const core::VertexSubset& f = *m->frontier;
-          auto is_active = [&](vertex_t v) { return f.contains(v); };
-          auto visit = [&](vertex_t, vertex_t dst) {
-            ++m->edges;
-            if (m->dist[dst] == kBfsUnreached) {
-              m->dist[dst] = m->depth + 1;
-              m->next->add(dst);
-            }
-          };
-          if (dvarint) {
-            format::scan_page_dvarint(g.index(), g.page_map(), logical_page,
-                                      page, is_active,
-                                      [&](vertex_t s, vertex_t d) {
-                                        visit(s, d);
-                                        return true;
-                                      });
-          } else {
-            format::scan_page(g.index(), g.page_map(), logical_page, page,
-                              is_active, visit);
-          }
+          format::scan_page(
+              g.index(), g.page_map(), logical_page, page,
+              [&](vertex_t v) { return f.contains(v); },
+              [&](vertex_t, vertex_t dst) {
+                ++m->edges;
+                if (m->dist[dst] == kBfsUnreached) {
+                  m->dist[dst] = m->depth + 1;
+                  m->next->add(dst);
+                }
+              });
         } else {
-          auto is_active = [&](vertex_t v) {
-            return g.degree(v) != 0;  // every source streams every round
-          };
-          auto visit = [&](vertex_t src, vertex_t dst) {
-            ++m->edges;
-            m->next_rank[dst] += m->contrib[src];
-          };
-          if (dvarint) {
-            format::scan_page_dvarint(g.index(), g.page_map(), logical_page,
-                                      page, is_active,
-                                      [&](vertex_t s, vertex_t d) {
-                                        visit(s, d);
-                                        return true;
-                                      });
-          } else {
-            format::scan_page(g.index(), g.page_map(), logical_page, page,
-                              is_active, visit);
-          }
+          format::scan_page(
+              g.index(), g.page_map(), logical_page, page,
+              // Every source streams every round.
+              [&](vertex_t v) { return g.degree(v) != 0; },
+              [&](vertex_t src, vertex_t dst) {
+                ++m->edges;
+                m->next_rank[dst] += m->contrib[src];
+              });
         }
       }
     };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
 #include <thread>
 
 #include "core/bins.h"
@@ -289,9 +290,10 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineParams{2, 64, 3, true}),
     [](const auto& info) {
       const EngineParams& p = info.param;
-      return "w" + std::to_string(p.workers) + "_b" +
-             std::to_string(p.bin_count) + "_d" +
-             std::to_string(p.devices) + (p.sync_mode ? "_sync" : "_bin");
+      std::ostringstream name;
+      name << "w" << p.workers << "_b" << p.bin_count << "_d" << p.devices
+           << (p.sync_mode ? "_sync" : "_bin");
+      return name.str();
     });
 
 TEST(EdgeMap, EmptyFrontierShortCircuits) {

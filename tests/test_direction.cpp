@@ -113,6 +113,56 @@ TEST(PullEdgeMap, HubDestinationSpanningPages) {
   EXPECT_TRUE(frontier.contains(parent[0]));
 }
 
+TEST(PullEdgeMap, FlatAndDvarintRoundsAgree) {
+  // transpose() emits every in-list sorted, so the flat and dvarint layouts
+  // of the transpose store the same list order. One worker keeps the early
+  // exit deterministic: both layouts must activate the same destinations,
+  // pick the same parents and scan the same number of edges.
+  const graph::Csr g = graph::generate_rmat(10, 8, 1108);
+  const graph::Csr gt = graph::transpose(g);
+  const vertex_t n = g.num_vertices();
+  Runtime rt(testutil::test_config(1));
+  struct Round {
+    std::vector<vertex_t> parent;
+    std::vector<bool> activated;
+    std::uint64_t edges_scattered = 0;
+  };
+  auto run_round = [&](format::AdjacencyEncoding encoding) {
+    auto in_g = format::make_mem_graph(gt, 1, encoding);
+    Round r;
+    r.parent.assign(n, kInvalidVertex);
+    VertexSubset frontier(n), candidates(n);
+    for (vertex_t v = 0; v < n; ++v) {
+      if (v % 3 == 0) {
+        frontier.add(v);
+        r.parent[v] = v;
+      } else {
+        candidates.add(v);
+      }
+    }
+    algorithms::BfsProgram prog{r.parent};
+    QueryStats stats;
+    EdgeMapOptions opts;
+    opts.stats = &stats;
+    VertexSubset out =
+        edge_map_pull(rt, in_g, frontier, candidates, prog, opts);
+    for (vertex_t v = 0; v < n; ++v) r.activated.push_back(out.contains(v));
+    r.edges_scattered = stats.edges_scattered;
+    return r;
+  };
+  const Round flat = run_round(format::AdjacencyEncoding::kFlat);
+  const Round dv = run_round(format::AdjacencyEncoding::kDeltaVarint);
+  std::uint64_t candidate_in_edges = 0;
+  for (vertex_t v = 0; v < n; ++v) {
+    if (v % 3 != 0) candidate_in_edges += gt.degree(v);
+  }
+  EXPECT_GT(flat.edges_scattered, 0u);
+  EXPECT_LT(flat.edges_scattered, candidate_in_edges);  // early exit fired
+  EXPECT_EQ(dv.edges_scattered, flat.edges_scattered);
+  EXPECT_EQ(dv.activated, flat.activated);
+  EXPECT_EQ(dv.parent, flat.parent);
+}
+
 TEST(HybridBfs, MatchesPushOnlyBfs) {
   for (const char* kind : {"rmat", "uniform", "web"}) {
     graph::Csr g;

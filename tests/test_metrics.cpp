@@ -223,7 +223,9 @@ TEST(MetricsSampler, RingBoundEvictsOldest) {
   for (std::size_t i = 0; i < ts.points.size(); ++i) {
     ASSERT_EQ(ts.points[i].values.size(), 1u);
     EXPECT_DOUBLE_EQ(ts.points[i].values[0], 13.0 + i);
-    if (i > 0) EXPECT_GE(ts.points[i].ts_ns, ts.points[i - 1].ts_ns);
+    if (i > 0) {
+      EXPECT_GE(ts.points[i].ts_ns, ts.points[i - 1].ts_ns);
+    }
   }
 }
 

@@ -2,11 +2,14 @@
 // patterns constructed to hit every page-boundary case exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "core/edge_map.h"
 #include "core/runtime.h"
+#include "device/mem_device.h"
+#include "format/dvarint.h"
 #include "format/on_disk_graph.h"
 #include "format/page_scan.h"
 #include "graph/csr.h"
@@ -103,7 +106,7 @@ std::map<vertex_t, std::multiset<vertex_t>> dvarint_scan_pages(
   *total = 0;
   for (std::uint64_t p : pages) {
     odg.device().read(p * kPageSize, page);
-    *total += scan_page_dvarint(
+    *total += scan_page(
         odg.index(), odg.page_map(), p, page.data(),
         [](vertex_t) { return true; },
         [&](vertex_t s, vertex_t d) {
@@ -191,6 +194,187 @@ TEST(PageLayoutAdversarial, DvarintDuplicateEdgesGapZero) {
   edges.emplace_back(0, 3);
   edges.emplace_back(1, 0);
   expect_dvarint_exact(graph::build_csr(10, edges));
+}
+
+/// A run of continuation bytes longer than a uint32 varint (5 bytes) is
+/// corrupt: the kernel stops that source's list without shifting past 31
+/// bits (undefined behavior the UBSan build traps) and moves on to the
+/// next source; the engine scatters the rest of the page; the reference
+/// decoder rejects the run.
+TEST(PageLayoutAdversarial, DvarintOverlongVarintStopsList) {
+  // Vertex 0: neighbors 0..7 -> eight one-byte varints (bytes [0, 8)).
+  std::vector<std::pair<vertex_t, vertex_t>> edges;
+  for (vertex_t d = 0; d < 8; ++d) edges.emplace_back(0, d);
+  edges.emplace_back(1, 3);
+  edges.emplace_back(1, 5);
+  graph::Csr g = graph::build_csr(16, edges);
+  auto odg = make_mem_graph(g, 1, AdjacencyEncoding::kDeltaVarint);
+  ASSERT_EQ(odg.index().encoded_length(0), 8u);
+  auto* mem = dynamic_cast<device::MemDevice*>(&odg.device());
+  ASSERT_NE(mem, nullptr);
+  std::fill_n(mem->raw().begin(), 8, std::byte{0xFF});
+
+  std::vector<std::byte> page(kPageSize);
+  odg.device().read(0, page);
+  std::vector<std::pair<vertex_t, vertex_t>> got;
+  const std::uint64_t visited = scan_page(
+      odg.index(), odg.page_map(), 0, page.data(),
+      [](vertex_t) { return true; },
+      [&](vertex_t s, vertex_t d) { got.emplace_back(s, d); });
+  const std::vector<std::pair<vertex_t, vertex_t>> want{{1, 3}, {1, 5}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(visited, 2u);
+  // Before the Runtime below starts threads: death tests fork.
+  EXPECT_DEATH(decode_dvarint_list(page.data(), 8, 8), "corrupt dvarint");
+
+  core::Runtime rt(testutil::test_config());
+  struct CountProgram {
+    using value_type = std::uint32_t;
+    value_type scatter(vertex_t, vertex_t) const { return 0; }
+    bool cond(vertex_t) const { return true; }
+    bool gather(vertex_t, value_type) { return false; }
+    bool gather_atomic(vertex_t, value_type) { return false; }
+  } prog;
+  core::QueryStats stats;
+  core::EdgeMapOptions opts;
+  opts.stats = &stats;
+  core::edge_map(rt, odg, core::VertexSubset::all(g.num_vertices()), prog,
+                 opts);
+  EXPECT_EQ(stats.edges_scattered, 2u);
+}
+
+// ---- One kernel, two encodings: flat vs dvarint parity --------------------
+
+/// Degrees that put long lists across flat and dvarint page boundaries at
+/// different places.
+const std::vector<std::uint32_t> kParityDegrees{
+    5, 3 * kPerPage + 17, 0, 9, 4000, 1, 0, kPerPage, 700, 2};
+
+/// The parity graph: targets spread over 50000 mostly zero-degree vertices
+/// (multi-byte gaps), every neighbor list sorted (transpose() emits each
+/// in-list in source order, so transposing twice sorts the lists). Flat and
+/// dvarint then store the same list order and the kernel must emit the
+/// same sequence from both.
+graph::Csr parity_graph() {
+  constexpr vertex_t kN = 50000;
+  std::vector<std::pair<vertex_t, vertex_t>> edges;
+  for (vertex_t v = 0; v < kParityDegrees.size(); ++v) {
+    for (std::uint32_t k = 0; k < kParityDegrees[v]; ++k) {
+      edges.emplace_back(v, static_cast<vertex_t>((k * 7919ull + v) % kN));
+    }
+  }
+  return graph::transpose(graph::transpose(graph::build_csr(kN, edges)));
+}
+
+using EdgeSeq = std::vector<std::pair<vertex_t, vertex_t>>;
+
+/// Scans every page in order and returns the visited (src, dst) sequence.
+/// `stop_after` > 0 deactivates a source after that many of its edges: the
+/// visitor returns false on the last one, like pull mode's cond() flipping.
+EdgeSeq scan_sequence(const OnDiskGraph& odg, std::uint32_t stop_after,
+                      std::uint64_t* total) {
+  EdgeSeq seq;
+  std::vector<std::uint32_t> seen(odg.num_vertices(), 0);
+  std::vector<std::byte> page(kPageSize);
+  *total = 0;
+  for (std::uint64_t p = 0; p < odg.num_pages(); ++p) {
+    odg.device().read(p * kPageSize, page);
+    *total += scan_page(
+        odg.index(), odg.page_map(), p, page.data(),
+        [&](vertex_t s) { return stop_after == 0 || seen[s] < stop_after; },
+        [&](vertex_t s, vertex_t d) {
+          seq.emplace_back(s, d);
+          return stop_after == 0 || ++seen[s] < stop_after;
+        });
+  }
+  return seq;
+}
+
+TEST(PageLayoutAdversarial, DvarintFlatParityAllActive) {
+  graph::Csr g = parity_graph();
+  auto flat = make_mem_graph(g);
+  auto dv = make_mem_graph(g, 1, AdjacencyEncoding::kDeltaVarint);
+  ASSERT_NE(flat.num_pages(), dv.num_pages());  // different page splits
+  std::uint64_t flat_total = 0, dv_total = 0;
+  const EdgeSeq flat_seq = scan_sequence(flat, 0, &flat_total);
+  const EdgeSeq dv_seq = scan_sequence(dv, 0, &dv_total);
+  EXPECT_EQ(flat_total, g.num_edges());
+  EXPECT_EQ(dv_total, flat_total);
+  EXPECT_EQ(dv_seq, flat_seq);
+}
+
+TEST(PageLayoutAdversarial, DvarintFlatParityEarlyExit) {
+  graph::Csr g = parity_graph();
+  auto flat = make_mem_graph(g);
+  auto dv = make_mem_graph(g, 1, AdjacencyEncoding::kDeltaVarint);
+  for (std::uint32_t k : {1u, 3u, 1500u}) {
+    std::uint64_t flat_total = 0, dv_total = 0;
+    const EdgeSeq flat_seq = scan_sequence(flat, k, &flat_total);
+    const EdgeSeq dv_seq = scan_sequence(dv, k, &dv_total);
+    std::uint64_t want = 0;
+    for (std::uint32_t d : kParityDegrees) want += std::min(d, k);
+    EXPECT_EQ(flat_total, want) << "k=" << k;
+    EXPECT_EQ(dv_total, flat_total) << "k=" << k;
+    EXPECT_EQ(dv_seq, flat_seq) << "k=" << k;
+  }
+}
+
+/// Scans page `p` clamped to `page_valid`, with every byte at or past the
+/// clamp overwritten by 0x01: a well-formed flat record and a well-formed
+/// one-byte varint, so any read past the clamp shows up as extra edges.
+EdgeSeq scan_clamped(const OnDiskGraph& odg, std::uint64_t p,
+                     std::uint64_t page_valid, std::uint64_t* total) {
+  std::vector<std::byte> page(kPageSize);
+  odg.device().read(p * kPageSize, page);
+  std::fill(page.begin() + static_cast<std::ptrdiff_t>(page_valid),
+            page.end(), std::byte{0x01});
+  EdgeSeq seq;
+  *total = scan_page(
+      odg.index(), odg.page_map(), p, page.data(),
+      [](vertex_t) { return true; },
+      [&](vertex_t s, vertex_t d) { seq.emplace_back(s, d); }, page_valid);
+  return seq;
+}
+
+TEST(PageLayoutAdversarial, DvarintFlatParityPageValid) {
+  graph::Csr g = parity_graph();
+  std::vector<EdgeSeq> whole_graph;
+  for (auto encoding : {AdjacencyEncoding::kFlat,
+                        AdjacencyEncoding::kDeltaVarint}) {
+    auto odg = make_mem_graph(g, 1, encoding);
+    const std::uint64_t last = odg.num_pages() - 1;
+    const std::uint64_t tail =
+        odg.index().total_adjacency_bytes() - last * kPageSize;
+    ASSERT_GT(tail, 3u);
+    ASSERT_LT(tail, kPageSize);
+    // Clamped exactly at the end of the data, the last page gives the same
+    // edges as unclamped: the scan stops at the last stored byte.
+    std::uint64_t full_total = 0, total = 0;
+    const EdgeSeq full = scan_clamped(odg, last, kPageSize, &full_total);
+    EXPECT_EQ(scan_clamped(odg, last, tail, &total), full);
+    EXPECT_EQ(total, full_total);
+    // Any shorter clamp yields a strict prefix of the page's sequence:
+    // nothing at or past the clamp is read, and a record or varint the
+    // clamp cuts is dropped.
+    for (std::uint64_t cut : {std::uint64_t{0}, std::uint64_t{1},
+                              std::uint64_t{3}, tail / 2, tail - 1}) {
+      const EdgeSeq part = scan_clamped(odg, last, cut, &total);
+      EXPECT_EQ(total, part.size());
+      ASSERT_LT(part.size(), full.size()) << "cut " << cut;
+      EXPECT_TRUE(std::equal(part.begin(), part.end(), full.begin()))
+          << "cut " << cut;
+    }
+    // Whole graph with the last page clamped at the data end.
+    EdgeSeq seq;
+    for (std::uint64_t p = 0; p <= last; ++p) {
+      const EdgeSeq page_seq =
+          scan_clamped(odg, p, p == last ? tail : kPageSize, &total);
+      seq.insert(seq.end(), page_seq.begin(), page_seq.end());
+    }
+    EXPECT_EQ(seq.size(), g.num_edges());
+    whole_graph.push_back(std::move(seq));
+  }
+  EXPECT_EQ(whole_graph[0], whole_graph[1]);
 }
 
 /// The engine must scatter exactly |E| edges from a dvarint graph too —

@@ -139,7 +139,9 @@ TEST(TenantSched, FairnessConvergesToWeightRatiosAcrossSeeds) {
     // The scheduler's own lifetime counters agree with ours.
     for (const auto& ts : sched.stats()) {
       for (std::size_t t = 0; t < num_tenants; ++t) {
-        if (ts.name == names[t]) EXPECT_EQ(ts.served, served[t]);
+        if (ts.name == names[t]) {
+          EXPECT_EQ(ts.served, served[t]);
+        }
       }
     }
   }

@@ -320,7 +320,9 @@ TEST_F(TraceTest, RingOverflowCountsDrops) {
   // (drop-newest policy preserves recorded history).
   EXPECT_EQ(mine, 64u);
   for (const auto& e : events) {
-    if (e.name == trace::Name::kIteration) EXPECT_LT(e.arg, 64u);
+    if (e.name == trace::Name::kIteration) {
+      EXPECT_LT(e.arg, 64u);
+    }
   }
   // reset() zeroes the accounting.
   trace::reset();

@@ -85,7 +85,7 @@ TEST(WeightedFormat, ScanPageWeightedVisitsAllRecords) {
   std::vector<std::byte> page(kPageSize);
   for (std::uint64_t p = 0; p < odg.num_pages(); ++p) {
     odg.device().read(p * kPageSize, page);
-    edges += format::scan_page_weighted(
+    edges += format::scan_page(
         odg.index(), odg.page_map(), p, page.data(),
         [](vertex_t) { return true; },
         [&](vertex_t s, vertex_t d, float w) { got[{s, d}] = w; });
