@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the design choices DESIGN.md
-// calls out: the MPMC queue, online binning vs atomic updates, the
-// indirection index vs flat offsets, and the simulated-device model
-// overhead.
+// calls out: the MPMC queue, online binning vs atomic updates, the binning
+// round trip on symmetric workers, the indirection index vs flat offsets,
+// and the simulated-device model overhead.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "util/mpmc_queue.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -47,7 +48,7 @@ void BM_OnlineBinningScatterGather(benchmark::State& state) {
 
   core::BinSet bins(1024, 8u << 20);
   for (auto _ : state) {
-    bins.reset();
+    bins.reset(n);
     core::ScatterBuffer sbuf(bins.bin_count());
     auto drain = [&] {
       while (auto ref = bins.pop_full()) {
@@ -86,6 +87,53 @@ void BM_AtomicScatterGather(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * updates));
 }
 BENCHMARK(BM_AtomicScatterGather)->Arg(1 << 18);
+
+/// Records/s through ScatterBuffer -> BinSet -> gather with `range(0)`
+/// symmetric workers, as the EdgeMap engine runs them: each worker stages
+/// its share of the updates, gathers whenever a full bin is queued or its
+/// flush is blocked, and everyone drains at the end. 2^20 destinations
+/// over 1024 range bins. Print-only (no baseline bound).
+void BM_BinRoundTrip(benchmark::State& state) {
+  const std::size_t n = 1 << 20;
+  const std::size_t updates = 1 << 22;
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint32_t> acc(n, 0);
+  std::vector<vertex_t> dsts(updates);
+  Xoshiro256 rng(3);
+  for (auto& d : dsts) d = static_cast<vertex_t>(rng.next_below(n));
+
+  ThreadPool pool(workers);
+  core::BinSet bins(1024, 8u << 20);
+  std::vector<core::ScatterBuffer> sbufs;
+  for (std::size_t w = 0; w < workers; ++w) sbufs.emplace_back(1024);
+  for (auto _ : state) {
+    bins.reset(n);
+    pool.run_on_all([&](std::size_t w) {
+      auto gather_once = [&] {
+        if (auto ref = bins.pop_full()) {
+          for (const core::BinRecord& r : bins.records(*ref)) {
+            acc[r.dst] += r.value;
+          }
+          bins.complete(*ref);
+        }
+      };
+      const std::size_t begin = updates * w / workers;
+      const std::size_t end = updates * (w + 1) / workers;
+      for (std::size_t i = begin; i < end; ++i) {
+        if ((i & 1023) == 0 && bins.pop_full_hint()) gather_once();
+        sbufs[w].append(bins, dsts[i], 1, gather_once);
+      }
+      sbufs[w].flush_all(bins, gather_once);
+      if (bins.scatter_done(workers)) bins.seal(gather_once);
+      while (!bins.drained()) gather_once();
+    });
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * updates));
+}
+BENCHMARK(BM_BinRoundTrip)->Arg(1)->Arg(4)->UseRealTime();
 
 // -------------------------------------------- index: indirection vs flat
 

@@ -38,8 +38,9 @@ struct KnockoutProgram {
   std::vector<MisState>& state;
 
   value_type scatter(vertex_t, vertex_t) const { return 1; }
+  // Relaxed: sync-mode workers store kOut concurrently (gather_atomic).
   bool cond(vertex_t d) const {
-    return state[d] == MisState::kUndecided;
+    return detail::relaxed_load(state[d]) == MisState::kUndecided;
   }
   bool gather(vertex_t d, value_type) {
     state[d] = MisState::kOut;

@@ -89,7 +89,7 @@ struct WeightedSsspProgram {
   std::vector<float>& dist;
 
   value_type scatter(vertex_t s, vertex_t, float w) const {
-    return dist[s] + w;
+    return detail::relaxed_load(dist[s]) + w;
   }
   bool cond(vertex_t) const { return true; }
   bool gather(vertex_t d, value_type v) {

@@ -225,10 +225,7 @@ class FlashGraphEngine {
   template <typename Fn>
   core::VertexSubset vertex_map(const core::VertexSubset& frontier, Fn&& f,
                                 core::QueryStats* stats = nullptr) {
-    core::VertexSubset out(frontier.universe());
-    frontier.for_each_parallel(pool_, [&](vertex_t v) {
-      if (f(v)) out.add(v);
-    });
+    core::VertexSubset out = frontier.filter(pool_, f);
     if (stats) ++stats->vertex_map_calls;
     return out;
   }

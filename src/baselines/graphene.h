@@ -192,10 +192,7 @@ class GrapheneEngine {
   template <typename Fn>
   core::VertexSubset vertex_map(const core::VertexSubset& frontier, Fn&& f,
                                 core::QueryStats* stats = nullptr) {
-    core::VertexSubset out(frontier.universe());
-    frontier.for_each_parallel(vm_pool_, [&](vertex_t v) {
-      if (f(v)) out.add(v);
-    });
+    core::VertexSubset out = frontier.filter(vm_pool_, f);
     if (stats) ++stats->vertex_map_calls;
     return out;
   }

@@ -1,22 +1,25 @@
 // Online binning (paper Section IV-A) — the atomic-free scatter/gather
 // channel at the heart of Blaze.
 //
-// A bin collects (destination vertex, value) records with
-// bin_id = dst % bin_count. Each bin owns a *pair* of buffers: scatter
-// threads fill the active one; when it fills up it is swapped with its
-// buddy and pushed onto the full_bins MPMC queue for gather threads.
+// A bin collects (destination vertex, value) records for one contiguous
+// range of destinations: with R = min(bin_count, |V| - 1) ranges,
+// bin(dst) = floor(dst * R / |V|) (BinMap), so range widths differ by at
+// most one vertex and a gather touches one contiguous |V|/R slice of
+// vertex data. Each bin owns a *pair* of buffers: workers fill the active
+// one; when it fills up it is swapped with its buddy and pushed onto the
+// full_bins MPMC queue.
 //
 // The exclusivity invariant: at most one buffer of a given bin is ever
 // queued-or-being-gathered at a time. Since a destination vertex always
-// maps to the same bin, no two gather threads can touch the same vertex
-// concurrently — gather functions therefore need no atomics. A scatter
-// thread that fills the active buffer while the buddy is still out blocks
+// maps to the same bin, no two gathers can touch the same vertex
+// concurrently — gather functions therefore need no atomics. A worker
+// that fills the active buffer while the buddy is still out blocks
 // (paper: "a scatter thread is blocked until a gather thread finishes the
 // processing of the full bin"); the engine turns that block into
-// help-gathering, so a blocked scatter thread drains a full bin itself,
-// which also makes the pipeline deadlock-free at any thread count.
+// help-gathering, so a blocked worker drains a full bin itself, which
+// also makes the pipeline deadlock-free at any thread count.
 //
-// Scatter threads do not append records one at a time: each carries a small
+// Workers do not append records one at a time: each carries a small
 // per-thread staging buffer per bin (propagation-blocking style) and copies
 // records into the shared bin in batches under a per-bin spinlock — one
 // lock acquisition per batch, not per edge.
@@ -27,6 +30,7 @@
 // across all queries.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -50,7 +54,42 @@ struct BinRecord {
   bin_value_t value;
 };
 
-/// Reference to a full (or sealed partial) buffer handed to gather threads.
+/// Destination-to-bin map for one EdgeMap run: bin(dst) =
+/// floor(dst * R / |V|) with R = min(bin_count, |V| - 1), computed as the
+/// high word of dst times a 0.64 fixed-point scale ceil(R * 2^64 / |V|).
+/// The result is exact for every |V| < 2^32 (the rounding error stays below
+/// 1/|V|), so bins are monotone in dst and range widths differ by at most
+/// one. R < |V| keeps the scale below 2^64. Out-of-range destinations
+/// (corrupt adjacency) are clamped to the last bin: the result is always
+/// < bin_count.
+class BinMap {
+ public:
+  /// Maps every destination to bin 0.
+  BinMap() = default;
+  BinMap(std::uint64_t num_vertices, std::size_t bin_count)
+      : last_(bin_count == 0 ? 0 : bin_count - 1) {
+    const std::uint64_t ranges = std::min<std::uint64_t>(
+        bin_count, num_vertices == 0 ? 0 : num_vertices - 1);
+    if (ranges != 0) {
+      scale_ = static_cast<std::uint64_t>(
+          ((static_cast<unsigned __int128>(ranges) << 64) + num_vertices -
+           1) /
+          num_vertices);
+    }
+  }
+
+  std::uint32_t operator()(vertex_t dst) const {
+    const auto bin = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(dst) * scale_) >> 64);
+    return static_cast<std::uint32_t>(std::min(bin, last_));
+  }
+
+ private:
+  std::uint64_t scale_ = 0;
+  std::uint64_t last_ = 0;
+};
+
+/// Reference to a full (or sealed partial) buffer handed to a gatherer.
 struct FullBinRef {
   std::uint32_t bin_id = 0;
   std::uint8_t buf_idx = 0;
@@ -77,16 +116,16 @@ class BinSet {
   std::uint64_t memory_bytes() const {
     return bins_.size() * 2 * capacity_ * sizeof(BinRecord);
   }
-  static std::uint32_t bin_of(vertex_t dst, std::size_t bin_count) {
-    return static_cast<std::uint32_t>(dst % bin_count);
-  }
+  std::uint32_t bin_of(vertex_t dst) const { return map_(dst); }
 
-  /// Rearms the set for a new EdgeMap run. All buffers must be drained.
-  void reset() {
+  /// Rearms the set for a new EdgeMap run over destinations in
+  /// [0, num_vertices). All buffers must be drained.
+  void reset(std::uint64_t num_vertices) {
     BLAZE_CHECK(pending_.load(std::memory_order_acquire) == 0,
                 "BinSet::reset with buffers in flight");
     scatter_finished_.store(0, std::memory_order_relaxed);
     sealed_.store(false, std::memory_order_relaxed);
+    map_ = BinMap(num_vertices, bins_.size());
     for (auto& bin : bins_) {
       BLAZE_CHECK(!bin.slot[0].out && !bin.slot[1].out,
                   "BinSet::reset with a buffer out");
@@ -122,12 +161,13 @@ class BinSet {
     return consumed;
   }
 
-  /// Marks the end of the scatter phase for one scatter thread. Returns
-  /// true for the last caller, who must then run seal().
-  bool scatter_done(std::size_t num_scatter_threads) {
+  /// Marks the end of the scatter phase for one of `num_workers`
+  /// scattering workers. Returns true for the last caller, who must then
+  /// run seal().
+  bool scatter_done(std::size_t num_workers) {
     std::size_t done =
         scatter_finished_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    return done == num_scatter_threads;
+    return done == num_workers;
   }
 
   /// Pushes every non-empty active buffer (even partial) to the full
@@ -151,7 +191,7 @@ class BinSet {
   }
 
   /// Cheap racy hint that a full buffer is probably available (used by
-  /// waiting scatter threads to decide whether helping is worthwhile).
+  /// scattering workers to decide whether gathering is worthwhile).
   bool pop_full_hint() const { return full_.approx_size() > 0; }
 
   /// Gather side: pops a full buffer. Empty optional when none is ready.
@@ -217,6 +257,7 @@ class BinSet {
   }
 
   std::vector<Bin> bins_;
+  BinMap map_;
   std::size_t capacity_ = 0;
   MpmcQueue<std::uint64_t> full_;
   std::atomic<std::size_t> scatter_finished_{0};
@@ -224,7 +265,7 @@ class BinSet {
   std::atomic<std::int64_t> pending_{0};
 };
 
-/// Per-scatter-thread small buffers: one tiny staging array per bin,
+/// Per-worker small buffers: one tiny staging array per bin,
 /// flushed to the shared BinSet in batches (one spinlock acquisition per
 /// kBatch records instead of per record).
 class ScatterBuffer {
@@ -243,7 +284,7 @@ class ScatterBuffer {
   template <typename HelpFn>
   void append(BinSet& bins, vertex_t dst, bin_value_t value,
               HelpFn&& help_gather_once) {
-    std::uint32_t b = BinSet::bin_of(dst, counts_.size());
+    const std::uint32_t b = bins.bin_of(dst);
     BinRecord* batch = records_.get() + static_cast<std::size_t>(b) * kBatch;
     batch[counts_[b]++] = BinRecord{dst, value};
     if (counts_[b] == kBatch) flush_bin(bins, b, help_gather_once);

@@ -1,9 +1,10 @@
 // Runtime configuration for the Blaze engine.
 //
 // The knobs mirror the artifact's command-line options (-computeWorkers,
-// -binCount, -binSpace, -binningRatio). Paper Section V-E shows performance
-// is robust over a wide range; the defaults here follow its guidance: ~1k
-// bins, bin space ≈ 5 % of graph size, equal scatter:gather split.
+// -binCount, -binSpace). Paper Section V-E shows performance is robust over
+// a wide range; the defaults here follow its guidance: ~1k bins, bin space
+// ≈ 5 % of graph size. The artifact's -binningRatio (scatter:gather thread
+// split) has no counterpart: every compute worker scatters and gathers.
 #pragma once
 
 #include <cstddef>
@@ -30,17 +31,13 @@ enum class ExecutionMode { kBsp, kAsync };
 enum class CatalogApportion { kRecent, kMrc };
 
 struct Config {
-  /// Total computation workers (scatter + gather). IO threads (one per
-  /// device) are additional, as in the artifact's `-computeWorkers 16`
-  /// plus one IO thread.
+  /// Total computation workers; each one both scatters and gathers. IO
+  /// threads (one per device) are additional, as in the artifact's
+  /// `-computeWorkers 16` plus one IO thread.
   std::size_t compute_workers = 4;
 
-  /// Fraction of compute workers doing scatter (the artifact's
-  /// -binningRatio). Clamped so both sides get at least one worker when
-  /// compute_workers >= 2.
-  double scatter_ratio = 0.5;
-
-  /// Number of bins (the artifact's -binCount).
+  /// Number of bins (the artifact's -binCount); each owns one contiguous
+  /// range of destination vertices.
   std::size_t bin_count = 1024;
 
   /// Total DRAM for bin buffers, split over bin_count bins x 2 buffers
@@ -62,7 +59,7 @@ struct Config {
   std::uint32_t io_retry_backoff_us = 32;
 
   /// When true, runs the synchronization-based variant used as the
-  /// Figure 8 baseline: scatter threads apply gather_atomic() directly
+  /// Figure 8 baseline: workers apply gather_atomic() directly
   /// (compare-and-swap style) and online binning is bypassed.
   bool sync_mode = false;
 
@@ -145,21 +142,6 @@ struct Config {
   /// the equivalent CPU time explicitly. 0 (the default) disables the
   /// model entirely.
   std::uint64_t sim_atomic_contention_ns = 0;
-
-  std::size_t scatter_threads() const {
-    if (compute_workers <= 1) return 1;
-    auto s = static_cast<std::size_t>(
-        static_cast<double>(compute_workers) * scatter_ratio + 0.5);
-    if (s == 0) s = 1;
-    if (s >= compute_workers) s = compute_workers - 1;
-    return s;
-  }
-
-  std::size_t gather_threads() const {
-    return compute_workers - scatter_threads() >= 1
-               ? compute_workers - scatter_threads()
-               : 0;
-  }
 };
 
 }  // namespace blaze::core

@@ -9,12 +9,16 @@
 //      into buffers from the free MPMC queue (merging up to 4 contiguous
 //      pages per request) and pushes filled buffers to the handle's filled
 //      queue.
-//   3. Scatter threads pop filled buffers, locate the frontier vertices
-//      inside each page via the page-to-vertex map, evaluate cond() and
-//      scatter() per edge, and stage (dst, value) records into the bins.
-//   4. Gather threads drain full bins and apply gather() to the
+//   3. Every compute worker scatters: it pops filled buffers, locates the
+//      frontier vertices inside each page via the page-to-vertex map,
+//      evaluates cond() and scatter() per edge, and stages (dst, value)
+//      records into the bins (one contiguous destination range per bin).
+//   4. The same workers gather: whenever a full bin is queued, when a
+//      flush is blocked on a saturated bin, or when no filled buffer is
+//      ready, a worker drains a full bin and applies gather() to the
 //      algorithm's vertex data — without synchronization, thanks to the
 //      bins' per-destination exclusivity — setting output-frontier bits.
+//      Once the input is exhausted, everyone drains the rest.
 //
 // A Program provides:
 //   using value_type = <trivially copyable, 4 bytes>;
@@ -190,10 +194,9 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
   std::atomic<std::uint64_t> io_wait_ns{0};
 
   const bool sync_mode = cfg.sync_mode;
-  BinSet* bins = sync_mode ? nullptr : &qc.acquire_bins();
+  BinSet* bins = sync_mode ? nullptr : &qc.acquire_bins(n);
   if (!sync_mode) qc.scatter_buffer(0);  // materialize before workers race
-  const std::size_t scatter_threads =
-      sync_mode ? cfg.compute_workers : cfg.scatter_threads();
+  const std::size_t num_workers = qc.pool().num_threads();
 
   // ---- Gather helpers -----------------------------------------------------
   auto process_full = [&](const FullBinRef& ref) {
@@ -255,7 +258,8 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
                 if (!prog.cond(dst)) return;
                 apply_update(sbuf, local_records, dst,
                              prog.scatter(src, dst, w));
-              });
+              },
+              meta.page_valid(j));
           continue;
         }
       }
@@ -265,7 +269,8 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
             [&](vertex_t src, vertex_t dst) {
               if (!prog.cond(dst)) return;
               apply_update(sbuf, local_records, dst, prog.scatter(src, dst));
-            });
+            },
+            meta.page_valid(j));
       }
     }
     io_pool.release(buf_id);
@@ -276,29 +281,32 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
     // Pool threads carry no query identity of their own; adopt this
     // call's so worker spans land in the right per-query tree.
     trace::ScopedQuery worker_scope(qc.trace_id());
-    const bool is_scatter = worker < scatter_threads;
     std::uint64_t local_edges = 0, local_records = 0, local_io_wait = 0;
-    if (is_scatter) {
+    {  // Scatter phase: every worker, gathering whenever a bin is full.
       trace::Span scatter_span(trace::Name::kScatter, worker);
       ScatterBuffer* sbuf = sync_mode ? nullptr : &qc.scatter_buffer(worker);
       Backoff backoff;
       for (;;) {
+        // A queued full bin is gathered before the next page is scattered:
+        // it frees that bin's buffer for everyone's flushes.
+        if (!sync_mode && bins->pop_full_hint()) {
+          if (auto ref = bins->pop_full()) {
+            process_full(*ref);
+            continue;
+          }
+        }
         auto buf = io->pop_filled();
         if (!buf) {
           if (io->io_done()) {
             buf = io->pop_filled();  // re-check after the release fence
             if (!buf) break;
           } else {
-            if (!sync_mode && bins->pop_full_hint()) {
-              help_gather_once();
-            } else {
-              // Genuine IO starvation: no filled buffer and no gather work
-              // to steal. Timed so prof::StallBreakdown can attribute the
-              // query's wall clock (clock reads cost only on the idle path).
-              const std::uint64_t t0 = Timer::now_ns();
-              backoff.pause();
-              local_io_wait += Timer::now_ns() - t0;
-            }
+            // Genuine IO starvation: no filled buffer and no gather work
+            // to steal. Timed so prof::StallBreakdown can attribute the
+            // query's wall clock (clock reads cost only on the idle path).
+            const std::uint64_t t0 = Timer::now_ns();
+            backoff.pause();
+            local_io_wait += Timer::now_ns() - t0;
             continue;
           }
         }
@@ -307,11 +315,10 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
       }
       if (!sync_mode) {
         sbuf->flush_all(*bins, help_gather_once);
-        if (bins->scatter_done(scatter_threads)) bins->seal(help_gather_once);
+        if (bins->scatter_done(num_workers)) bins->seal(help_gather_once);
       }
     }
-    // Everyone — dedicated gather workers from the start, scatter workers
-    // once their input is exhausted — drains the bins to completion.
+    // With the input exhausted, everyone drains the bins to completion.
     if (!sync_mode) {
       trace::Span gather_span(trace::Name::kGather, worker);
       drain_with_backoff();
@@ -360,10 +367,7 @@ VertexSubset edge_map(Runtime& rt, const format::OnDiskGraph& g,
 template <typename Fn>
 VertexSubset vertex_map(QueryContext& qc, const VertexSubset& frontier,
                         Fn&& f, QueryStats* stats = nullptr) {
-  VertexSubset out(frontier.universe());
-  frontier.for_each_parallel(qc.pool(), [&](vertex_t v) {
-    if (f(v)) out.add(v);
-  });
+  VertexSubset out = frontier.filter(qc.pool(), f);
   if (stats) ++stats->vertex_map_calls;
   return out;
 }

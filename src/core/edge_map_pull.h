@@ -99,10 +99,6 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
       for (std::uint32_t j = 0; j < meta.num_pages; ++j) {
         const std::uint64_t logical_page =
             (meta.first_page + j) * num_devices + meta.device;
-        // The final page of a tail-clamped request is partial; never scan
-        // past the bytes the device actually filled.
-        const std::uint64_t page_valid = std::min<std::uint64_t>(
-            kPageSize, meta.valid_bytes - std::uint64_t{j} * kPageSize);
         const std::byte* page =
             data + static_cast<std::size_t>(j) * kPageSize;
         // Returning false from the edge callback is the early exit: stop
@@ -118,7 +114,7 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
               if (prog.gather_atomic(d, val) && opts.output) out.add(d);
               return prog.cond(d);  // false: destination satisfied
             },
-            page_valid);
+            meta.page_valid(j));
       }
       io_pool.release(*buf);
     }

@@ -94,12 +94,12 @@ class QueryContext {
   }
 
   /// Bin space, (re)created lazily from the config and reset between
-  /// EdgeMap executions.
-  BinSet& acquire_bins() {
+  /// EdgeMap executions; `num_vertices` sizes the destination ranges.
+  BinSet& acquire_bins(std::uint64_t num_vertices) {
     if (!bins_ || bins_->bin_count() != cfg_.bin_count) {
       bins_ = std::make_unique<BinSet>(cfg_.bin_count, cfg_.bin_space_bytes);
     }
-    bins_->reset();
+    bins_->reset(num_vertices);
     return *bins_;
   }
 
@@ -116,11 +116,11 @@ class QueryContext {
   /// small iterations). Buffers are empty between calls by construction:
   /// every EdgeMap flushes them before finishing.
   ScatterBuffer& scatter_buffer(std::size_t worker) {
-    if (sbufs_.size() != cfg_.compute_workers ||
-        sbuf_bin_count_ != cfg_.bin_count) {
+    const std::size_t workers = pool_->num_threads();
+    if (sbufs_.size() != workers || sbuf_bin_count_ != cfg_.bin_count) {
       sbufs_.clear();
-      sbufs_.reserve(cfg_.compute_workers);
-      for (std::size_t i = 0; i < cfg_.compute_workers; ++i) {
+      sbufs_.reserve(workers);
+      for (std::size_t i = 0; i < workers; ++i) {
         sbufs_.push_back(std::make_unique<ScatterBuffer>(cfg_.bin_count));
       }
       sbuf_bin_count_ = cfg_.bin_count;

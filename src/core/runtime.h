@@ -125,13 +125,9 @@ class Runtime {
     return std::make_shared<device::CachedDevice>(std::move(dev), pool);
   }
 
-  // Legacy arena accessors, delegating to the default context (kept so the
+  // Legacy arena accessor, delegating to the default context (kept so the
   // single-query path and existing harnesses read naturally).
-  BinSet& acquire_bins() { return default_context().acquire_bins(); }
   io::IoBufferPool& io_pool() { return default_context().io_pool(); }
-  ScatterBuffer& scatter_buffer(std::size_t worker) {
-    return default_context().scatter_buffer(worker);
-  }
 
   /// Drops the default context's arenas; they are rebuilt lazily on next
   /// use. Experiment harnesses use this to return to a pristine footprint.

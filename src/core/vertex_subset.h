@@ -123,6 +123,44 @@ class VertexSubset {
         64);
   }
 
+  /// The members for which `pred(v)` holds, evaluated in parallel. A dense
+  /// subset is filtered one 64-vertex word at a time: each output word is
+  /// built locally and stored once, and the count grows once per chunk, so
+  /// no activated vertex pays a contended atomic.
+  template <typename Pred>
+  VertexSubset filter(ThreadPool& pool, Pred&& pred) const {
+    VertexSubset out(universe());
+    if (!is_dense()) {
+      for_each_parallel(pool, [&](vertex_t v) {
+        if (pred(v)) out.add(v);
+      });
+      return out;
+    }
+    pool.parallel_for_chunks(
+        0, bitmap_.word_count(),
+        [&](std::size_t lo, std::size_t hi) {
+          std::size_t added = 0;
+          for (std::size_t wi = lo; wi < hi; ++wi) {
+            std::uint64_t w = bitmap_.word(wi), kept = 0;
+            while (w != 0) {
+              const int bit = __builtin_ctzll(w);
+              if (pred(static_cast<vertex_t>((wi << 6) + bit))) {
+                kept |= std::uint64_t{1} << bit;
+              }
+              w &= w - 1;
+            }
+            if (kept == 0) continue;
+            out.bitmap_.store_word(wi, kept);
+            added += static_cast<std::size_t>(__builtin_popcountll(kept));
+          }
+          if (added != 0) {
+            out.count_.fetch_add(added, std::memory_order_relaxed);
+          }
+        },
+        64);
+    return out;
+  }
+
   /// Members as a sorted vector. Cached; rebuilt when add() has run since
   /// the last materialization (detected via the count).
   const std::vector<vertex_t>& sparse_view() const {

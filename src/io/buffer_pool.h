@@ -7,6 +7,7 @@
 // computation falls behind.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -36,6 +37,13 @@ struct BufferMeta {
   /// for a request clamped at the device end, whose final page is partial
   /// (the reader zero-fills the remainder so scans never see stale bytes).
   std::uint32_t valid_bytes = 0;
+
+  /// Valid bytes of the buffer's page `j` (< num_pages): kPageSize except
+  /// on the final page of a clamped request. Scans must not read past it.
+  std::uint64_t page_valid(std::uint32_t j) const {
+    return std::min<std::uint64_t>(
+        kPageSize, valid_bytes - std::uint64_t{j} * kPageSize);
+  }
 };
 
 /// Pool of aligned 16 kB buffers (4 pages) with a lock-free free list.

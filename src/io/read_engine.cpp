@@ -60,10 +60,8 @@ void run_reads(device::BlockDevice& dev, std::uint32_t device_index,
   auto verify_buffer = [&](std::uint32_t id) {
     const BufferMeta& meta = pool.meta(id);
     for (std::uint32_t j = 0; j < meta.num_pages; ++j) {
-      const std::uint64_t valid = std::min<std::uint64_t>(
-          kPageSize, meta.valid_bytes - std::uint64_t{j} * kPageSize);
       std::span<const std::byte> page(
-          pool.data(id) + std::uint64_t{j} * kPageSize, valid);
+          pool.data(id) + std::uint64_t{j} * kPageSize, meta.page_valid(j));
       if (!(*verifier)(meta.first_page + j, page)) {
         throw IoError(ErrorKind::kCorruption, dev.name(),
                       "page " + std::to_string(meta.first_page + j) +

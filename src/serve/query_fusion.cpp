@@ -129,8 +129,9 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
     trace::instant(trace::Name::kFusedRound, canonical.size());
 
     // Apply one page to every participant, in member order.
+    // `valid` clamps a tail-truncated final page (BufferMeta::page_valid).
     auto process_page = [&](std::uint64_t logical_page,
-                            const std::byte* page) {
+                            const std::byte* page, std::uint64_t valid) {
       for (MemberState* m : round) {
         if (m->spec.kind == FusedQuerySpec::Kind::kBfs) {
           const core::VertexSubset& f = *m->frontier;
@@ -143,7 +144,8 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
                   m->dist[dst] = m->depth + 1;
                   m->next->add(dst);
                 }
-              });
+              },
+              valid);
         } else {
           format::scan_page(
               g.index(), g.page_map(), logical_page, page,
@@ -152,7 +154,8 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
               [&](vertex_t src, vertex_t dst) {
                 ++m->edges;
                 m->next_rank[dst] += m->contrib[src];
-              });
+              },
+              valid);
         }
       }
     };
@@ -169,7 +172,8 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
         while (next_idx < canonical.size()) {
           auto it = holdback.find(canonical[next_idx]);
           if (it == holdback.end()) break;
-          process_page(canonical[next_idx], it->second.data());
+          process_page(canonical[next_idx], it->second.data(),
+                       it->second.size());
           holdback.erase(it);
           ++next_idx;
         }
@@ -196,15 +200,16 @@ std::vector<FusedResult> run_fused(core::QueryContext& qc,
               (meta.first_page + j) * num_devices + meta.device;
           const std::byte* page =
               data + static_cast<std::size_t>(j) * kPageSize;
+          const std::uint64_t valid = meta.page_valid(j);
           if (next_idx < canonical.size() && lp == canonical[next_idx]) {
-            process_page(lp, page);
+            process_page(lp, page, valid);
             ++next_idx;
             drain_holdback();
           } else {
-            // Ahead of the canonical cursor: stage a copy so the pipeline
-            // buffer recycles immediately.
-            holdback.emplace(
-                lp, std::vector<std::byte>(page, page + kPageSize));
+            // Ahead of the canonical cursor: stage a copy of the valid
+            // bytes so the pipeline buffer recycles immediately.
+            holdback.emplace(lp,
+                             std::vector<std::byte>(page, page + valid));
           }
         }
         io_pool.release(*buf);

@@ -8,8 +8,9 @@
 //       g.gr.index g.gr.adj.0
 //       -inIndexFilename g.tgr.index -inAdjFilenames g.tgr.adj.0
 //
-// Binning flags as in the artifact: -binSpace (MiB), -binCount,
-// -binningRatio. -sync runs the synchronization-based variant.
+// Binning flags as in the artifact: -binSpace (MiB), -binCount. The
+// artifact's -binningRatio is accepted and ignored (every compute worker
+// scatters and gathers). -sync runs the synchronization-based variant.
 //
 // Serving mode: --clients N --queries Q runs N closed-loop clients each
 // submitting Q copies of the query to a shared serve::QueryEngine (one
@@ -777,7 +778,6 @@ int main(int argc, char** argv) {
         "  -startNode V        source vertex for bfs/bc/sssp (default 0)\n"
         "  -binSpace MiB       total bin space (default 64)\n"
         "  -binCount N         number of bins (default 1024)\n"
-        "  -binningRatio R     scatter fraction of workers (default 0.5)\n"
         "  -sync               use the CAS-based variant (no binning)\n"
         "  -inIndexFilename F  transpose index (wcc/bc/kcore)\n"
         "  -inAdjFilenames F   transpose adjacency (wcc/bc/kcore)\n"
@@ -914,7 +914,11 @@ int main(int argc, char** argv) {
   cfg.bin_space_bytes =
       static_cast<std::size_t>(opt.get_int("binSpace", 64)) << 20;
   cfg.bin_count = static_cast<std::size_t>(opt.get_int("binCount", 1024));
-  cfg.scatter_ratio = opt.get_double("binningRatio", 0.5);
+  if (opt.has("binningRatio")) {
+    std::fprintf(stderr,
+                 "note: -binningRatio ignored (every worker scatters and "
+                 "gathers)\n");
+  }
   cfg.sync_mode = opt.get_bool("sync", false);
 
   // Execution mode for the monotone algorithms (pr/sssp/wcc/kcore route

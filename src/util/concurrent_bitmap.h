@@ -80,6 +80,12 @@ class ConcurrentBitmap {
     return words_[k].load(std::memory_order_relaxed);
   }
 
+  /// Overwrites word `k`. Safe against concurrent writers of *other* words
+  /// only: the caller must own word `k` exclusively.
+  void store_word(std::size_t k, std::uint64_t w) {
+    words_[k].store(w, std::memory_order_relaxed);
+  }
+
  private:
   std::size_t num_bits_ = 0;
   std::vector<std::atomic<std::uint64_t>> words_;

@@ -37,9 +37,23 @@ class ThreadPool {
   template <typename Fn>
   void parallel_for(std::size_t begin, std::size_t end, Fn&& fn,
                     std::size_t grain = 1024) {
+    parallel_for_chunks(
+        begin, end,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) fn(i);
+        },
+        grain);
+  }
+
+  /// Like parallel_for, but `fn` receives each chunk as (lo, hi), so
+  /// per-chunk state (a local sum, a partial word) is published once per
+  /// chunk instead of once per index.
+  template <typename Fn>
+  void parallel_for_chunks(std::size_t begin, std::size_t end, Fn&& fn,
+                           std::size_t grain = 1024) {
     if (end <= begin) return;
     if (end - begin <= grain || num_threads() == 1) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+      fn(begin, end);
       return;
     }
     std::atomic<std::size_t> next{begin};
@@ -47,8 +61,7 @@ class ThreadPool {
       for (;;) {
         std::size_t chunk = next.fetch_add(grain, std::memory_order_relaxed);
         if (chunk >= end) break;
-        std::size_t stop = std::min(chunk + grain, end);
-        for (std::size_t i = chunk; i < stop; ++i) fn(i);
+        fn(chunk, std::min(chunk + grain, end));
       }
     });
   }

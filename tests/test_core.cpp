@@ -3,6 +3,7 @@
 // parameter sweep (threads x bins x devices x sync mode).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 #include <thread>
@@ -92,6 +93,7 @@ TEST(VertexSubset, ConcurrentAddsCountExactly) {
 
 TEST(Bins, RecordsDeliveredExactlyOnceSingleThread) {
   BinSet bins(16, 16 * 2 * 64 * sizeof(BinRecord));
+  bins.reset(1000);
   auto help = [&] {
     if (auto ref = bins.pop_full()) bins.complete(ref.value());
   };
@@ -129,6 +131,7 @@ TEST(Bins, ConcurrentScatterGatherStress) {
   BinSet bins(kBins, kBins * 2 * 32 * sizeof(BinRecord));  // tiny buffers
 
   std::vector<std::atomic<std::uint32_t>> sums(977);
+  bins.reset(sums.size());
   std::vector<std::atomic<int>> bin_owner_depth(kBins);
   std::atomic<bool> overlap{false};
 
@@ -177,7 +180,7 @@ TEST(Bins, ResetAllowsReuse) {
   BinSet bins(4, 4 * 2 * 16 * sizeof(BinRecord));
   auto noop = [] {};
   for (int round = 0; round < 3; ++round) {
-    bins.reset();
+    bins.reset(100);
     ScatterBuffer sbuf(4);
     std::uint32_t got = 0;
     auto drain = [&] {
@@ -196,9 +199,90 @@ TEST(Bins, ResetAllowsReuse) {
   (void)noop;
 }
 
-TEST(Bins, BinOfIsStable) {
+TEST(Bins, BinOfMapsContiguousRanges) {
+  // 1000 vertices over 64 bins: 40 ranges of 16 and 24 of 15 vertices,
+  // bin(d) = floor(d * 64 / 1000).
+  BinSet bins(64, 64 * 2 * 8 * sizeof(BinRecord));
+  bins.reset(1000);
   for (vertex_t d = 0; d < 1000; ++d) {
-    EXPECT_EQ(BinSet::bin_of(d, 64), d % 64);
+    EXPECT_EQ(bins.bin_of(d), d * 64 / 1000) << d;
+  }
+}
+
+TEST(Bins, RangeBinMapProperties) {
+  // Every vertex-count class: |V| = 1, |V| below / at / above bin_count,
+  // powers of two and their neighbours, and the top of the 32-bit range.
+  const std::uint64_t vertex_counts[] = {
+      1,           2,           3,           7,           63,
+      64,          65,          1000,        1023,        1024,
+      1025,        4096,        1000003,     1u << 20,    (1u << 21) + 1,
+      1u << 24,    (1u << 24) + 1, 123456789, (1ull << 31) + 1,
+      0xFFFFFFFFull};
+  for (const std::uint64_t nv : vertex_counts) {
+    for (const std::size_t bin_count : {1, 2, 8, 64, 1024}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "|V| " << nv << " bin_count " << bin_count);
+      const BinMap bin_of(nv, bin_count);
+      // Always in bounds, also for out-of-range destinations.
+      for (const std::uint64_t d :
+           {std::uint64_t{0}, nv - 1, nv, std::uint64_t{0x7FFFFFFF},
+            std::uint64_t{0xFFFFFFFE}, std::uint64_t{0xFFFFFFFF}}) {
+        if (d > 0xFFFFFFFFull) continue;
+        EXPECT_LT(bin_of(static_cast<vertex_t>(d)), bin_count) << d;
+      }
+      // Monotone over the whole 32-bit domain (sorted samples plus the
+      // valid range exhaustively when it is small).
+      std::vector<std::uint64_t> ds;
+      Xoshiro256 rng(nv ^ bin_count);
+      for (int i = 0; i < 2000; ++i) ds.push_back(rng.next() >> 32);
+      for (std::uint64_t d = 0; d < std::min<std::uint64_t>(nv, 1u << 16);
+           ++d) {
+        ds.push_back(d);
+      }
+      ds.push_back(0xFFFFFFFFull);
+      std::sort(ds.begin(), ds.end());
+      for (std::size_t i = 1; i < ds.size(); ++i) {
+        ASSERT_LE(bin_of(static_cast<vertex_t>(ds[i - 1])),
+                  bin_of(static_cast<vertex_t>(ds[i])))
+            << ds[i - 1] << " vs " << ds[i];
+      }
+      // Exact: bin(d) = floor(d * R / |V|), R = min(bin_count, |V| - 1).
+      const std::uint64_t ranges =
+          std::max<std::uint64_t>(1, std::min<std::uint64_t>(bin_count,
+                                                             nv - 1));
+      for (const std::uint64_t d : ds) {
+        if (d >= nv) break;
+        ASSERT_EQ(bin_of(static_cast<vertex_t>(d)),
+                  nv == 1 ? 0 : d * ranges / nv)
+            << d;
+      }
+      // Range widths: the first destination of each bin, found by binary
+      // search; every used bin is non-empty, and widths differ by <= 1.
+      std::vector<std::uint64_t> first(ranges + 1, nv);
+      first[0] = 0;
+      for (std::uint64_t k = 1; k < ranges; ++k) {
+        std::uint64_t lo = 0, hi = nv;  // first d in [lo, hi) with bin >= k
+        while (lo < hi) {
+          const std::uint64_t mid = lo + (hi - lo) / 2;
+          if (bin_of(static_cast<vertex_t>(mid)) >= k) {
+            hi = mid;
+          } else {
+            lo = mid + 1;
+          }
+        }
+        first[k] = lo;
+      }
+      std::uint64_t min_w = ~0ull, max_w = 0;
+      for (std::uint64_t k = 0; k < ranges; ++k) {
+        const std::uint64_t w = first[k + 1] - first[k];
+        min_w = std::min(min_w, w);
+        max_w = std::max(max_w, w);
+      }
+      EXPECT_GE(min_w, 1u);
+      EXPECT_LE(max_w - min_w, 1u);
+      // No destination in range lands past the used bins.
+      EXPECT_EQ(bin_of(static_cast<vertex_t>(nv - 1)), ranges - 1);
+    }
   }
 }
 

@@ -4,10 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
+#include "algorithms/bfs.h"
+#include "algorithms/pagerank.h"
+#include "algorithms/sssp.h"
+#include "algorithms/wcc.h"
+#include "baselines/inmem.h"
 #include "core/edge_map.h"
+#include "core/edge_map_pull.h"
 #include "core/runtime.h"
+#include "device/mem_device.h"
 #include "format/on_disk_graph.h"
 #include "graph/generators.h"
 #include "test_helpers.h"
@@ -200,19 +208,142 @@ TEST(EdgeMapExtra, SimulatedContentionSlowsSyncMode) {
   EXPECT_EQ(acc, in_degrees(g));  // and results stay correct
 }
 
-TEST(EdgeMapExtra, ScatterRatioExtremesStillCorrect) {
-  graph::Csr g = graph::generate_rmat(9, 8, 906);
-  auto odg = format::make_mem_graph(g);
-  for (double ratio : {0.01, 0.99}) {
-    auto cfg = testutil::test_config(5);
-    cfg.scatter_ratio = ratio;
-    Runtime rt(cfg);
-    ASSERT_GE(cfg.scatter_threads(), 1u);
-    ASSERT_GE(cfg.gather_threads(), 1u);
-    std::vector<std::uint32_t> acc(g.num_vertices(), 0);
-    CountProgram prog{acc};
-    edge_map(rt, odg, VertexSubset::all(g.num_vertices()), prog, {});
-    EXPECT_EQ(acc, in_degrees(g)) << "ratio " << ratio;
+TEST(EdgeMapExtra, WorkerAndBinSweepMatchesInMemory) {
+  // Every worker both scatters and gathers, and bins own contiguous
+  // destination ranges; BFS, PR, WCC and SSSP must match the in-memory
+  // oracles at any worker count (including more workers than cores) and
+  // bin count (one bin, fewer bins than workers, about one vertex per
+  // bin), and with a 2 kB bin space that forces constant rotation.
+  graph::Csr g = graph::generate_rmat(10, 8, 906);
+  graph::Csr gt = graph::transpose(g);
+  auto out_g = format::make_mem_graph(g);
+  auto in_g = format::make_mem_graph(gt);
+  const auto want_bfs = baseline::inmem::bfs_dist(g, 0);
+  const auto want_pr = baseline::inmem::pagerank_delta(g, 0.85, 1e-3, 20);
+  const auto want_wcc = baseline::inmem::wcc(g);
+  const auto want_sssp = baseline::inmem::sssp_dist(g, 0);
+
+  struct Case {
+    std::size_t bin_count;
+    std::size_t bin_space_bytes;
+  };
+  const Case cases[] = {
+      {1, 1 << 20}, {8, 1 << 20}, {1024, 1 << 20}, {8, 2048}};
+  for (const std::size_t workers : {1, 2, 3, 4, 8}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(::testing::Message()
+                   << workers << " workers, " << c.bin_count << " bins, "
+                   << c.bin_space_bytes << " B bin space");
+      auto cfg = testutil::test_config(workers, c.bin_count);
+      cfg.bin_space_bytes = c.bin_space_bytes;
+      Runtime rt(cfg);
+
+      const auto bfs = algorithms::bfs(rt, out_g, 0);
+      for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+        const vertex_t p = bfs.parent[v];
+        if (want_bfs[v] == ~0u) {
+          ASSERT_EQ(p, kInvalidVertex) << v;
+        } else if (v != 0) {
+          ASSERT_NE(p, kInvalidVertex) << v;
+          ASSERT_EQ(want_bfs[p] + 1, want_bfs[v]) << v;
+          const auto nbrs = g.neighbors(p);
+          ASSERT_NE(std::find(nbrs.begin(), nbrs.end(), v), nbrs.end()) << v;
+        }
+      }
+
+      const auto pr = algorithms::pagerank(
+          rt, out_g, {.epsilon = 1e-3, .max_iterations = 20});
+      double err = 0, norm = 0;
+      for (std::size_t i = 0; i < want_pr.size(); ++i) {
+        err += std::fabs(pr.rank[i] - want_pr[i]);
+        norm += std::fabs(want_pr[i]);
+      }
+      EXPECT_LT(err / norm, 1e-3);
+
+      EXPECT_EQ(algorithms::wcc(rt, out_g, in_g).ids, want_wcc);
+      EXPECT_EQ(algorithms::sssp(rt, out_g, 0).dist, want_sssp);
+    }
+  }
+}
+
+/// Bytes of the LEB128 varint encoding `x`.
+std::uint64_t varint_bytes(std::uint32_t x) {
+  std::uint64_t n = 1;
+  while (x >= 0x80) {
+    x >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+TEST(EdgeMapExtra, PushAndPullHonourTruncatedFinalPage) {
+  // An adjacency device cut in the middle of its final page: the reader
+  // clamps the tail request and zero-fills the rest of the buffer. Push
+  // and pull must decode exactly the edges whose bytes lie before the cut
+  // (no dst-0 phantoms from the zero fill, no gap-0 repeats in dvarint),
+  // so both visit the same edge count.
+  graph::Csr g = graph::generate_rmat(10, 8, 908);
+  for (const auto encoding : {format::AdjacencyEncoding::kFlat,
+                              format::AdjacencyEncoding::kDeltaVarint}) {
+    SCOPED_TRACE(encoding == format::AdjacencyEncoding::kFlat ? "flat"
+                                                              : "dvarint");
+    auto full = format::make_mem_graph(g, 1, encoding);
+    const format::GraphIndex& index = full.index();
+    const std::uint64_t total = index.total_adjacency_bytes();
+    const std::uint64_t last_page = (total - 1) / kPageSize * kPageSize;
+    // Odd offset: the cut also splits a flat record and, likely, a varint.
+    const std::uint64_t cut = last_page + (total - last_page) / 2 + 1;
+    ASSERT_LT(cut, total);
+    std::vector<std::byte> bytes(cut);
+    full.device().read(0, bytes);
+    format::OnDiskGraph truncated(
+        index, std::make_shared<device::MemDevice>("cut", std::move(bytes)));
+
+    // Oracle: per-destination and per-source counts of the edges whose
+    // encoded bytes end at or before the cut, in on-disk list order.
+    const graph::Csr lists = format::decode_to_csr(full);
+    const vertex_t n = g.num_vertices();
+    std::vector<std::uint32_t> want_by_dst(n, 0), want_by_src(n, 0);
+    std::uint64_t want_edges = 0;
+    for (vertex_t v = 0; v < n; ++v) {
+      std::uint64_t end = index.byte_offset(v);
+      vertex_t prev = 0;
+      bool first = true;
+      for (const vertex_t d : lists.neighbors(v)) {
+        end += encoding == format::AdjacencyEncoding::kFlat
+                   ? sizeof(vertex_t)
+                   : varint_bytes(first ? d : d - prev);
+        prev = d;
+        first = false;
+        if (end > cut) break;
+        ++want_by_dst[d];
+        ++want_by_src[v];
+        ++want_edges;
+      }
+    }
+    ASSERT_LT(want_edges, g.num_edges());
+
+    Runtime rt(testutil::test_config());
+    const auto all = VertexSubset::all(n);
+    std::vector<std::uint32_t> push_acc(n, 0);
+    CountProgram push_prog{push_acc};
+    QueryStats push_stats;
+    EdgeMapOptions push_opts;
+    push_opts.stats = &push_stats;
+    edge_map(rt, truncated, all, push_prog, push_opts);
+    EXPECT_EQ(push_stats.edges_scattered, want_edges);
+    EXPECT_EQ(push_acc, want_by_dst);
+
+    // Pull reads the same lists as in-adjacency: the list owner is the
+    // destination it accumulates into.
+    std::vector<std::uint32_t> pull_acc(n, 0);
+    CountProgram pull_prog{pull_acc};
+    QueryStats pull_stats;
+    EdgeMapOptions pull_opts;
+    pull_opts.stats = &pull_stats;
+    edge_map_pull(rt, truncated, all, all, pull_prog, pull_opts);
+    EXPECT_EQ(pull_stats.edges_scattered, want_edges);
+    EXPECT_EQ(pull_acc, want_by_src);
   }
 }
 
