@@ -12,6 +12,16 @@
 //   bool cond(vertex_t dst);                        // pre-scatter filter
 //   bool gather(vertex_t dst, value_type v);        // exclusivity-protected
 //   bool gather_atomic(vertex_t dst, value_type v); // CAS engines
+//   bool improves(vertex_t dst, value_type v) const; // optional
+//
+// improves() lets every engine drop an update between scatter and gather,
+// before it is binned, queued as a message or CAS'd. Only monotone gathers
+// (min for WCC and SSSP, OR for radii) declare it, and it must return false
+// only when gather()/gather_atomic() would leave dst unchanged and return
+// false. Such state only moves one way during an EdgeMap, so an update that
+// cannot change dst when scattered cannot change it when gathered: the drop
+// is exact. improves() reads dst's state while gathers on other workers may
+// write it, so both sides use relaxed atomics.
 #pragma once
 
 #include <vector>
@@ -72,7 +82,9 @@ struct PrProgram {
 };
 
 /// Paper Algorithm 3 (WCC): scatter forwards the source's label; gather
-/// keeps the per-destination minimum.
+/// keeps the per-destination minimum and reports whether it lowered it.
+/// Labels that do not lower the destination's are dropped before binning
+/// (improves); on R-MAT graphs that is most of them.
 struct WccProgram {
   using value_type = vertex_t;
   std::vector<vertex_t>& ids;
@@ -84,8 +96,12 @@ struct WccProgram {
     return detail::relaxed_load(ids[s]);
   }
   bool cond(vertex_t) const { return true; }
+  bool improves(vertex_t d, value_type v) const {
+    return v < detail::relaxed_load(ids[d]);
+  }
   bool gather(vertex_t d, value_type v) {
-    if (v < detail::relaxed_load(ids[d])) detail::relaxed_store(ids[d], v);
+    if (!improves(d, v)) return false;
+    detail::relaxed_store(ids[d], v);
     return true;
   }
   bool gather_atomic(vertex_t d, value_type v) {
@@ -168,12 +184,13 @@ struct SsspProgram {
     return detail::relaxed_load(dist[s]) + sssp_weight(s, d);
   }
   bool cond(vertex_t) const { return true; }
+  bool improves(vertex_t d, value_type v) const {
+    return v < detail::relaxed_load(dist[d]);
+  }
   bool gather(vertex_t d, value_type v) {
-    if (v < detail::relaxed_load(dist[d])) {
-      detail::relaxed_store(dist[d], v);
-      return true;
-    }
-    return false;
+    if (!improves(d, v)) return false;
+    detail::relaxed_store(dist[d], v);
+    return true;
   }
   bool gather_atomic(vertex_t d, value_type v) {
     return detail::atomic_min(dist[d], v);

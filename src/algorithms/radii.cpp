@@ -10,7 +10,9 @@ namespace {
 
 /// Scatter the source's visitor mask; gather ORs it into the
 /// destination's next-round mask. A destination activates when it
-/// collects bits it has not seen.
+/// collects bits it has not seen. A mask with no bit outside the
+/// destination's next-round mask is dropped before binning (improves):
+/// next-round masks only grow during an EdgeMap.
 struct RadiiProgram {
   using value_type = std::uint32_t;
   const std::vector<std::uint32_t>& visited;
@@ -18,9 +20,13 @@ struct RadiiProgram {
 
   value_type scatter(vertex_t s, vertex_t) const { return visited[s]; }
   bool cond(vertex_t) const { return true; }
+  bool improves(vertex_t d, value_type v) const {
+    return (v & ~detail::relaxed_load(next_visited[d])) != 0;
+  }
   bool gather(vertex_t d, value_type v) {
-    std::uint32_t fresh = v & ~visited[d] & ~next_visited[d];
-    next_visited[d] |= v;
+    const std::uint32_t next = detail::relaxed_load(next_visited[d]);
+    const std::uint32_t fresh = v & ~visited[d] & ~next;
+    detail::relaxed_store(next_visited[d], next | v);
     return fresh != 0;
   }
   bool gather_atomic(vertex_t d, value_type v) {

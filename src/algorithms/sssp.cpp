@@ -42,9 +42,12 @@ struct AsyncSsspProgram {
     return detail::relaxed_load(dist[s]) + sssp_weight(s, d);
   }
   bool cond(vertex_t) const { return true; }
+  bool improves(vertex_t d, value_type v) const {
+    return v < detail::relaxed_load(dist[d]);
+  }
   bool gather(vertex_t d, value_type v) {
-    if (v < dist[d]) {
-      dist[d] = v;
+    if (improves(d, v)) {
+      detail::relaxed_store(dist[d], v);
       queue.push(d, int_dist_priority(v));
     }
     return false;
@@ -92,12 +95,13 @@ struct WeightedSsspProgram {
     return detail::relaxed_load(dist[s]) + w;
   }
   bool cond(vertex_t) const { return true; }
+  bool improves(vertex_t d, value_type v) const {
+    return v < detail::relaxed_load(dist[d]);
+  }
   bool gather(vertex_t d, value_type v) {
-    if (v < dist[d]) {
-      dist[d] = v;
-      return true;
-    }
-    return false;
+    if (!improves(d, v)) return false;
+    detail::relaxed_store(dist[d], v);
+    return true;
   }
   bool gather_atomic(vertex_t d, value_type v) {
     return detail::atomic_min(dist[d], v);
@@ -113,9 +117,12 @@ struct AsyncWeightedSsspProgram {
     return detail::relaxed_load(dist[s]) + w;
   }
   bool cond(vertex_t) const { return true; }
+  bool improves(vertex_t d, value_type v) const {
+    return v < detail::relaxed_load(dist[d]);
+  }
   bool gather(vertex_t d, value_type v) {
-    if (v < dist[d]) {
-      dist[d] = v;
+    if (improves(d, v)) {
+      detail::relaxed_store(dist[d], v);
       queue.push(d, float_dist_priority(v));
     }
     return false;

@@ -36,9 +36,12 @@ struct AsyncWccProgram {
     return detail::relaxed_load(ids[s]);
   }
   bool cond(vertex_t) const { return true; }
+  bool improves(vertex_t d, value_type v) const {
+    return v < detail::relaxed_load(ids[d]);
+  }
   bool gather(vertex_t d, value_type v) {
-    if (v < ids[d]) {
-      ids[d] = v;
+    if (improves(d, v)) {
+      detail::relaxed_store(ids[d], v);
       queue.push(d, v >> shift);
     }
     return false;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "baselines/page_cache.h"
+#include "core/program.h"
 #include "core/stats.h"
 #include "core/vertex_subset.h"
 #include "format/on_disk_graph.h"
@@ -166,6 +167,7 @@ class FlashGraphEngine {
             [&](vertex_t src, vertex_t dst) {
               if (!prog.cond(dst)) return;
               const value_type val = prog.scatter(src, dst);
+              if (!core::can_improve(prog, dst, val)) return;
               const std::size_t owner = dst / own_range;
               msgs[worker * workers + owner].push_back(
                   Message{dst, std::bit_cast<std::uint32_t>(val)});

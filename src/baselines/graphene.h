@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/program.h"
 #include "core/stats.h"
 #include "core/vertex_subset.h"
 #include "format/partitioner.h"
@@ -170,6 +171,7 @@ class GrapheneEngine {
                 const vertex_t dst = dsts[k];
                 if (!prog.cond(dst)) continue;
                 const value_type val = prog.scatter(m.v, dst);
+                if (!core::can_improve(prog, dst, val)) continue;
                 if (prog.gather_atomic(dst, val) && output) out.add(dst);
                 busy_spin_ns(cfg_.sim_atomic_contention_ns);
               }

@@ -12,6 +12,7 @@
 
 #include <atomic>
 
+#include "core/program.h"
 #include "core/stats.h"
 #include "core/vertex_subset.h"
 #include "graph/csr.h"
@@ -43,6 +44,7 @@ class LigraEngine {
       for (vertex_t d : g_.neighbors(s)) {
         if (!prog.cond(d)) continue;
         const auto val = prog.scatter(s, d);
+        if (!core::can_improve(prog, d, val)) continue;
         if (prog.gather_atomic(d, val) && output) out.add(d);
       }
     });

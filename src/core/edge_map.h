@@ -11,8 +11,9 @@
 //      queue.
 //   3. Every compute worker scatters: it pops filled buffers, locates the
 //      frontier vertices inside each page via the page-to-vertex map,
-//      evaluates cond() and scatter() per edge, and stages (dst, value)
-//      records into the bins (one contiguous destination range per bin).
+//      evaluates cond() and scatter() per edge, drops the updates
+//      improves() rejects, and stages the rest as (dst, value) records
+//      into the bins (one contiguous destination range per bin).
 //   4. The same workers gather: whenever a full bin is queued, when a
 //      flush is blocked on a saturated bin, or when no filled buffer is
 //      ready, a worker drains a full bin and applies gather() to the
@@ -26,9 +27,17 @@
 //   bool cond(vertex_t dst);                      // pre-scatter filter
 //   bool gather(vertex_t dst, value_type v);      // no atomics needed
 //   bool gather_atomic(vertex_t dst, value_type v); // sync-variant (CAS)
+//   bool improves(vertex_t dst, value_type v) const; // optional pre-bin prune
 //
 // gather()/gather_atomic() return true to activate dst in the output
 // frontier.
+//
+// improves() is for monotone gathers (min, OR). It returns false only when
+// gather()/gather_atomic() would leave dst unchanged and return false. Vertex
+// state moves one way during an EdgeMap, so a value that cannot change dst
+// when scattered cannot change it when gathered later: dropping the update
+// before it is binned (or CAS'd) is exact, not a heuristic. Programs
+// without the member keep every update (core/program.h).
 #pragma once
 
 #include <atomic>
@@ -39,6 +48,7 @@
 #include <vector>
 
 #include "core/core_metrics.h"
+#include "core/program.h"
 #include "core/query_context.h"
 #include "core/runtime.h"
 #include "core/stats.h"
@@ -69,17 +79,6 @@ struct EdgeMapOptions {
 };
 
 namespace detail {
-
-/// A program that consumes stored edge weights declares
-/// scatter(src, dst, weight); the engine dispatches on the graph's
-/// on-disk record size and checks program/graph compatibility at runtime.
-template <typename Program>
-concept WeightedScatter =
-    requires(Program p, vertex_t v, float w) { p.scatter(v, v, w); };
-
-template <typename Program>
-concept UnweightedScatter =
-    requires(Program p, vertex_t v) { p.scatter(v, v); };
 
 /// Unwraps RAID-0 into its member devices so the engine can run one IO
 /// thread per physical device (paper: "Blaze uses one thread for each SSD
@@ -171,10 +170,10 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
   const bool weighted_records =
       g.index().record_bytes() == sizeof(format::WeightedEdgeRecord);
   if (weighted_records) {
-    BLAZE_CHECK(detail::WeightedScatter<Program>,
+    BLAZE_CHECK(WeightedScatter<Program>,
                 "weighted graph requires scatter(src, dst, weight)");
   } else {
-    BLAZE_CHECK(detail::UnweightedScatter<Program>,
+    BLAZE_CHECK(UnweightedScatter<Program>,
                 "unweighted graph requires scatter(src, dst)");
   }
   if (frontier.empty()) return out;
@@ -199,11 +198,17 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
   const std::size_t num_workers = qc.pool().num_threads();
 
   // ---- Gather helpers -----------------------------------------------------
+  // Activations are counted per bin buffer and added to the output's
+  // shared count once, not once per activated vertex.
   auto process_full = [&](const FullBinRef& ref) {
+    std::size_t activated = 0;
     for (const BinRecord& rec : bins->records(ref)) {
       value_type v = std::bit_cast<value_type>(rec.value);
-      if (prog.gather(rec.dst, v) && opts.output) out.add(rec.dst);
+      if (prog.gather(rec.dst, v) && opts.output) {
+        activated += out.add_uncounted(rec.dst);
+      }
     }
+    out.add_count(activated);
     bins->complete(ref);
   };
   auto help_gather_once = [&] {
@@ -229,20 +234,27 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
   };
 
   // ---- Scatter over one filled buffer -------------------------------------
-  auto apply_update = [&](ScatterBuffer* sbuf, std::uint64_t* local_records,
-                          vertex_t dst, value_type val) {
+  // Per-worker counters, folded into the call's totals once at the end.
+  struct Tally {
+    std::uint64_t edges = 0, records = 0, io_wait_ns = 0;
+    std::size_t activated = 0;  // sync mode's newly set output bits
+  };
+  auto apply_update = [&](ScatterBuffer* sbuf, Tally& t, vertex_t dst,
+                          value_type val) {
+    if (!can_improve(prog, dst, val)) return;  // exact: see the contract
     if (sync_mode) {
-      if (prog.gather_atomic(dst, val) && opts.output) out.add(dst);
+      if (prog.gather_atomic(dst, val) && opts.output) {
+        t.activated += out.add_uncounted(dst);
+      }
       busy_spin_ns(cfg.sim_atomic_contention_ns);
     } else {
       sbuf->append(*bins, dst, std::bit_cast<bin_value_t>(val),
                    help_gather_once);
-      ++*local_records;
+      ++t.records;
     }
   };
   auto scatter_buffer = [&](std::uint32_t buf_id, ScatterBuffer* sbuf,
-                            std::uint64_t* local_edges,
-                            std::uint64_t* local_records) {
+                            Tally& t) {
     const io::BufferMeta& meta = io_pool.meta(buf_id);
     const std::byte* data = io_pool.data(buf_id);
     auto active = [&](vertex_t v) { return frontier.contains(v); };
@@ -250,25 +262,24 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
       const std::uint64_t logical_page =
           (meta.first_page + j) * num_devices + meta.device;
       const std::byte* page = data + static_cast<std::size_t>(j) * kPageSize;
-      if constexpr (detail::WeightedScatter<Program>) {
+      if constexpr (WeightedScatter<Program>) {
         if (weighted_records) {
-          *local_edges += format::scan_page(
+          t.edges += format::scan_page(
               g.index(), g.page_map(), logical_page, page, active,
               [&](vertex_t src, vertex_t dst, float w) {
                 if (!prog.cond(dst)) return;
-                apply_update(sbuf, local_records, dst,
-                             prog.scatter(src, dst, w));
+                apply_update(sbuf, t, dst, prog.scatter(src, dst, w));
               },
               meta.page_valid(j));
           continue;
         }
       }
-      if constexpr (detail::UnweightedScatter<Program>) {
-        *local_edges += format::scan_page(
+      if constexpr (UnweightedScatter<Program>) {
+        t.edges += format::scan_page(
             g.index(), g.page_map(), logical_page, page, active,
             [&](vertex_t src, vertex_t dst) {
               if (!prog.cond(dst)) return;
-              apply_update(sbuf, local_records, dst, prog.scatter(src, dst));
+              apply_update(sbuf, t, dst, prog.scatter(src, dst));
             },
             meta.page_valid(j));
       }
@@ -281,7 +292,7 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
     // Pool threads carry no query identity of their own; adopt this
     // call's so worker spans land in the right per-query tree.
     trace::ScopedQuery worker_scope(qc.trace_id());
-    std::uint64_t local_edges = 0, local_records = 0, local_io_wait = 0;
+    Tally tally;
     {  // Scatter phase: every worker, gathering whenever a bin is full.
       trace::Span scatter_span(trace::Name::kScatter, worker);
       ScatterBuffer* sbuf = sync_mode ? nullptr : &qc.scatter_buffer(worker);
@@ -306,12 +317,12 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
             // query's wall clock (clock reads cost only on the idle path).
             const std::uint64_t t0 = Timer::now_ns();
             backoff.pause();
-            local_io_wait += Timer::now_ns() - t0;
+            tally.io_wait_ns += Timer::now_ns() - t0;
             continue;
           }
         }
         backoff.reset();
-        scatter_buffer(*buf, sbuf, &local_edges, &local_records);
+        scatter_buffer(*buf, sbuf, tally);
       }
       if (!sync_mode) {
         sbuf->flush_all(*bins, help_gather_once);
@@ -323,9 +334,10 @@ VertexSubset edge_map(QueryContext& qc, const format::OnDiskGraph& g,
       trace::Span gather_span(trace::Name::kGather, worker);
       drain_with_backoff();
     }
-    edges_scattered.fetch_add(local_edges, std::memory_order_relaxed);
-    records_binned.fetch_add(local_records, std::memory_order_relaxed);
-    io_wait_ns.fetch_add(local_io_wait, std::memory_order_relaxed);
+    out.add_count(tally.activated);
+    edges_scattered.fetch_add(tally.edges, std::memory_order_relaxed);
+    records_binned.fetch_add(tally.records, std::memory_order_relaxed);
+    io_wait_ns.fetch_add(tally.io_wait_ns, std::memory_order_relaxed);
   });
 
   io->wait();

@@ -111,7 +111,10 @@ VertexSubset edge_map_pull(QueryContext& qc, const format::OnDiskGraph& in_g,
             [&](vertex_t d, vertex_t s) -> bool {
               if (!frontier.contains(s)) return true;
               const value_type val = prog.scatter(s, d);
-              if (prog.gather_atomic(d, val) && opts.output) out.add(d);
+              if (can_improve(prog, d, val) && prog.gather_atomic(d, val) &&
+                  opts.output) {
+                out.add(d);
+              }
               return prog.cond(d);  // false: destination satisfied
             },
             meta.page_valid(j));

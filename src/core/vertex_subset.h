@@ -81,6 +81,15 @@ class VertexSubset {
     return false;
   }
 
+  /// add() without the count update, for concurrent bulk inserts: each
+  /// thread totals its newly added members and reports them once with
+  /// add_count(), instead of every insert contending on the count's cache
+  /// line. The count is wrong until every insert has been reported.
+  bool add_uncounted(vertex_t v) { return bitmap_.set(v); }
+  void add_count(std::size_t added) {
+    if (added != 0) count_.fetch_add(added, std::memory_order_relaxed);
+  }
+
   std::size_t count() const {
     return count_.load(std::memory_order_relaxed);
   }
@@ -153,9 +162,7 @@ class VertexSubset {
             out.bitmap_.store_word(wi, kept);
             added += static_cast<std::size_t>(__builtin_popcountll(kept));
           }
-          if (added != 0) {
-            out.count_.fetch_add(added, std::memory_order_relaxed);
-          }
+          out.add_count(added);
         },
         64);
     return out;

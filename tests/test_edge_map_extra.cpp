@@ -9,6 +9,8 @@
 
 #include "algorithms/bfs.h"
 #include "algorithms/pagerank.h"
+#include "algorithms/programs.h"
+#include "algorithms/radii.h"
 #include "algorithms/sssp.h"
 #include "algorithms/wcc.h"
 #include "baselines/inmem.h"
@@ -18,6 +20,7 @@
 #include "device/mem_device.h"
 #include "format/on_disk_graph.h"
 #include "graph/generators.h"
+#include "graph/weighted.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -208,34 +211,58 @@ TEST(EdgeMapExtra, SimulatedContentionSlowsSyncMode) {
   EXPECT_EQ(acc, in_degrees(g));  // and results stay correct
 }
 
+/// Stored-weight distances agree with the oracle up to float rounding.
+void expect_dist_near(const std::vector<float>& got,
+                      const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::isinf(want[i])) {
+      EXPECT_TRUE(std::isinf(got[i])) << i;
+    } else {
+      EXPECT_NEAR(got[i], want[i], 1e-3f * (1.0f + want[i])) << i;
+    }
+  }
+}
+
 TEST(EdgeMapExtra, WorkerAndBinSweepMatchesInMemory) {
   // Every worker both scatters and gathers, and bins own contiguous
-  // destination ranges; BFS, PR, WCC and SSSP must match the in-memory
-  // oracles at any worker count (including more workers than cores) and
-  // bin count (one bin, fewer bins than workers, about one vertex per
-  // bin), and with a 2 kB bin space that forces constant rotation.
+  // destination ranges; BFS, PR, WCC and SSSP (synthesized and stored
+  // weights) must match the in-memory oracles at any worker count
+  // (including more workers than cores) and bin count (one bin, fewer bins
+  // than workers, about one vertex per bin), with a 2 kB bin space that
+  // forces constant rotation, and in sync mode. WCC and both SSSPs also
+  // run under the async scheduler.
   graph::Csr g = graph::generate_rmat(10, 8, 906);
   graph::Csr gt = graph::transpose(g);
+  graph::WeightedCsr wg = graph::attach_random_weights(g, 909);
   auto out_g = format::make_mem_graph(g);
   auto in_g = format::make_mem_graph(gt);
+  auto w_g = format::make_mem_graph(wg);
   const auto want_bfs = baseline::inmem::bfs_dist(g, 0);
   const auto want_pr = baseline::inmem::pagerank_delta(g, 0.85, 1e-3, 20);
   const auto want_wcc = baseline::inmem::wcc(g);
   const auto want_sssp = baseline::inmem::sssp_dist(g, 0);
+  const auto want_wsssp = baseline::inmem::sssp_dist_weighted(wg, 0);
 
   struct Case {
     std::size_t bin_count;
     std::size_t bin_space_bytes;
+    bool sync_mode;
   };
-  const Case cases[] = {
-      {1, 1 << 20}, {8, 1 << 20}, {1024, 1 << 20}, {8, 2048}};
+  const Case cases[] = {{1, 1 << 20, false},
+                        {8, 1 << 20, false},
+                        {1024, 1 << 20, false},
+                        {8, 2048, false},
+                        {64, 1 << 20, true}};
   for (const std::size_t workers : {1, 2, 3, 4, 8}) {
     for (const Case& c : cases) {
       SCOPED_TRACE(::testing::Message()
                    << workers << " workers, " << c.bin_count << " bins, "
-                   << c.bin_space_bytes << " B bin space");
+                   << c.bin_space_bytes << " B bin space"
+                   << (c.sync_mode ? ", sync mode" : ""));
       auto cfg = testutil::test_config(workers, c.bin_count);
       cfg.bin_space_bytes = c.bin_space_bytes;
+      cfg.sync_mode = c.sync_mode;
       Runtime rt(cfg);
 
       const auto bfs = algorithms::bfs(rt, out_g, 0);
@@ -262,6 +289,132 @@ TEST(EdgeMapExtra, WorkerAndBinSweepMatchesInMemory) {
 
       EXPECT_EQ(algorithms::wcc(rt, out_g, in_g).ids, want_wcc);
       EXPECT_EQ(algorithms::sssp(rt, out_g, 0).dist, want_sssp);
+      expect_dist_near(algorithms::sssp_weighted(rt, w_g, 0).dist,
+                       want_wsssp);
+
+      cfg.execution_mode = ExecutionMode::kAsync;
+      Runtime async_rt(cfg);
+      EXPECT_EQ(algorithms::wcc(async_rt, out_g, in_g).ids, want_wcc);
+      EXPECT_EQ(algorithms::sssp(async_rt, out_g, 0).dist, want_sssp);
+      expect_dist_near(algorithms::sssp_weighted(async_rt, w_g, 0).dist,
+                       want_wsssp);
+    }
+  }
+}
+
+TEST(EdgeMapExtra, GatherSideCountMatchesOutputBitmap) {
+  // Gather adds activated vertices to the output's count once per bin
+  // buffer (binned) or per worker (sync), not per vertex; the count must
+  // still equal the number of set bits after a 4-worker EdgeMap.
+  graph::Csr g = graph::generate_rmat(12, 8, 910);
+  auto odg = format::make_mem_graph(g);
+  const vertex_t n = g.num_vertices();
+  auto popcount = [n](const VertexSubset& s) {
+    std::size_t bits = 0;
+    for (vertex_t v = 0; v < n; ++v) bits += s.contains(v);
+    return bits;
+  };
+  for (const bool sync : {false, true}) {
+    SCOPED_TRACE(sync ? "sync mode" : "binned");
+    auto cfg = testutil::test_config(4);
+    cfg.sync_mode = sync;
+    Runtime rt(cfg);
+
+    std::vector<vertex_t> parent(n, kInvalidVertex);
+    parent[0] = 0;
+    algorithms::BfsProgram bfs{parent};
+    VertexSubset frontier = VertexSubset::single(n, 0);
+    for (int round = 0; round < 3 && !frontier.empty(); ++round) {
+      frontier = edge_map(rt, odg, frontier, bfs, {});
+      EXPECT_EQ(frontier.count(), popcount(frontier)) << round;
+    }
+    EXPECT_GT(frontier.count(), 0u);
+
+    std::vector<std::uint32_t> dist(n, algorithms::kInfDist);
+    for (vertex_t v = 0; v < n; v += 3) dist[v] = v % 64;
+    algorithms::SsspProgram sssp{dist};
+    const VertexSubset out = edge_map(rt, odg, VertexSubset::all(n), sssp, {});
+    EXPECT_GT(out.count(), 0u);
+    EXPECT_EQ(out.count(), popcount(out));
+  }
+}
+
+// ---------------------------------------------------------------- pre-bin
+// prune (Program::improves). The "Prune" tests run at 4 workers in binned,
+// sync and async modes and are also run by name under TSan: improves()
+// reads vertex state that other workers' gathers write.
+
+TEST(EdgeMapPrune, MonotoneProgramsBinFewerRecordsThanEdges) {
+  graph::Csr g = graph::generate_rmat(12, 8, 911);
+  graph::Csr gt = graph::transpose(g);
+  auto out_g = format::make_mem_graph(g);
+  auto in_g = format::make_mem_graph(gt);
+  Runtime rt(testutil::test_config(4));
+
+  const auto wcc = algorithms::wcc(rt, out_g, in_g);
+  EXPECT_EQ(wcc.ids, baseline::inmem::wcc(g));
+  EXPECT_GT(wcc.stats.records_binned, 0u);
+  EXPECT_LT(wcc.stats.records_binned, wcc.stats.edges_scattered);
+
+  const auto sssp = algorithms::sssp(rt, out_g, 0);
+  EXPECT_EQ(sssp.dist, baseline::inmem::sssp_dist(g, 0));
+  EXPECT_GT(sssp.stats.records_binned, 0u);
+  EXPECT_LT(sssp.stats.records_binned, sssp.stats.edges_scattered);
+}
+
+TEST(EdgeMapPrune, ProgramsWithoutHookBinEveryEdge) {
+  graph::Csr g = graph::generate_rmat(12, 8, 912);
+  auto odg = format::make_mem_graph(g);
+  Runtime rt(testutil::test_config(4));
+
+  static_assert(!PrunesUpdates<algorithms::PrProgram>);
+  const auto pr = algorithms::pagerank(
+      rt, odg, {.epsilon = 1e-3, .max_iterations = 5});
+  EXPECT_GT(pr.stats.edges_scattered, 0u);
+  EXPECT_EQ(pr.stats.records_binned, pr.stats.edges_scattered);
+
+  static_assert(!PrunesUpdates<CountProgram>);
+  std::vector<std::uint32_t> acc(g.num_vertices(), 0);
+  CountProgram prog{acc};
+  QueryStats stats;
+  EdgeMapOptions opts;
+  opts.stats = &stats;
+  edge_map(rt, odg, VertexSubset::all(g.num_vertices()), prog, opts);
+  EXPECT_EQ(acc, in_degrees(g));
+  EXPECT_EQ(stats.records_binned, stats.edges_scattered);
+}
+
+TEST(EdgeMapPrune, FourWorkersMatchInMemoryInEveryMode) {
+  // The pruned queries in each execution mode at 4 workers: binned and
+  // sync BSP, and the async scheduler over binned and sync EdgeMaps.
+  graph::Csr g = graph::generate_rmat(11, 8, 913);
+  graph::Csr gt = graph::transpose(g);
+  graph::WeightedCsr wg = graph::attach_random_weights(g, 914);
+  auto out_g = format::make_mem_graph(g);
+  auto in_g = format::make_mem_graph(gt);
+  auto w_g = format::make_mem_graph(wg);
+  const auto want_wcc = baseline::inmem::wcc(g);
+  const auto want_sssp = baseline::inmem::sssp_dist(g, 0);
+  const auto want_wsssp = baseline::inmem::sssp_dist_weighted(wg, 0);
+
+  for (const bool sync : {false, true}) {
+    for (const auto mode : {ExecutionMode::kBsp, ExecutionMode::kAsync}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (sync ? "sync" : "binned") << ", "
+                   << (mode == ExecutionMode::kAsync ? "async" : "bsp"));
+      auto cfg = testutil::test_config(4);
+      cfg.sync_mode = sync;
+      cfg.execution_mode = mode;
+      Runtime rt(cfg);
+      EXPECT_EQ(algorithms::wcc(rt, out_g, in_g).ids, want_wcc);
+      EXPECT_EQ(algorithms::sssp(rt, out_g, 0).dist, want_sssp);
+      expect_dist_near(algorithms::sssp_weighted(rt, w_g, 0).dist,
+                       want_wsssp);
+      if (mode == ExecutionMode::kBsp) {
+        const auto radii = algorithms::radii(rt, out_g, /*seed=*/7);
+        EXPECT_EQ(radii.radii, baseline::inmem::radii_from_sources(
+                                   g, radii.sources));
+      }
     }
   }
 }

@@ -169,6 +169,42 @@ TEST(SsspProgramProperty, GatherRelaxesMonotonically) {
   EXPECT_FALSE(prog.gather(0, 40));  // equal: no activation
 }
 
+// ------------------------------------------------------------ improves()
+
+/// improves(d, v) is false exactly when gather(d, v) and gather_atomic(d, v)
+/// would return false and leave d unchanged (the engines drop such updates
+/// before binning, so a false negative would lose an update).
+template <typename Program>
+void check_improves_is_exact(std::vector<std::uint32_t>& state,
+                             Program& prog) {
+  Xoshiro256 rng(42);
+  for (int i = 0; i < 2000; ++i) {
+    const auto v = static_cast<std::uint32_t>(rng.next_below(1000));
+    const std::uint32_t before = state[0];
+    const bool improves = prog.improves(0, v);
+    EXPECT_EQ(improves, prog.gather(0, v)) << before << " <- " << v;
+    EXPECT_EQ(improves, state[0] != before) << before << " <- " << v;
+    state[0] = before;
+    EXPECT_EQ(improves, prog.gather_atomic(0, v)) << before << " <- " << v;
+    // Reset now and then so the state does not sit at the minimum.
+    if (rng.next_below(8) == 0) {
+      state[0] = static_cast<std::uint32_t>(rng.next_below(1000));
+    }
+  }
+}
+
+TEST(ImprovesProperty, WccFalseOnlyWhenGatherIsNoop) {
+  std::vector<vertex_t> ids(1, 500);
+  WccProgram prog{ids};
+  check_improves_is_exact(ids, prog);
+}
+
+TEST(ImprovesProperty, SsspFalseOnlyWhenGatherIsNoop) {
+  std::vector<std::uint32_t> dist(1, 500);
+  SsspProgram prog{dist};
+  check_improves_is_exact(dist, prog);
+}
+
 // ------------------------------------------------------------ PeelProgram
 
 TEST(PeelProgramProperty, ResidualNeverUnderflows) {
